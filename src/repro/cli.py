@@ -37,7 +37,10 @@ Four subcommands cover the operator workflow the paper describes:
 
 Diagnostics (bad plans, unknown games/scenarios, digest mismatches) go
 to stderr; stdout carries only the requested report, so piping
-``cocg … | tee`` captures clean output.
+``cocg … | tee`` captures clean output.  Bad arguments (an unknown
+flag, or a ``--nodes``/``--horizon``/``--rate``/``--regions`` that is not
+positive) are rejected while parsing, with one stderr line and exit
+code 2.
 
 ``cocg fleet`` and ``cocg serve`` certify the shard-plan certificate
 (the packaged ``shardplan.json``, or ``--shard-plan PATH``) against the
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -72,6 +75,31 @@ __all__ = [
 ]
 
 _STRATEGIES = ("cocg", "reactive", "gaugur", "vbp", "max-static")
+
+_Number = TypeVar("_Number", int, float)
+
+
+def _positive(kind: Callable[[str], _Number]) -> Callable[[str], _Number]:
+    """An argparse ``type=`` parsing ``kind`` and rejecting values <= 0."""
+    def parse(text: str) -> _Number:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_POSITIVE_INT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad input is one stderr line and exit code 2, without the usage dump."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _err(message: str) -> None:
@@ -720,7 +748,7 @@ def cmd_lint(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cocg",
         description="CoCG: fine-grained cloud game co-location (IPDPS'24 reproduction)",
     )
@@ -741,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("colocate", help="co-locate games on one server")
     c.add_argument("games", nargs="+")
     c.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
-    c.add_argument("--horizon", type=int, default=3600)
+    c.add_argument("--horizon", type=_POSITIVE_INT, default=3600)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--players", type=int, default=5)
     c.add_argument("--sessions", type=int, default=4)
@@ -750,19 +778,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fleet", help="Poisson arrivals over a fleet")
     f.add_argument("games", nargs="+")
-    f.add_argument("--nodes", type=int, default=3)
+    f.add_argument("--nodes", type=_POSITIVE_INT, default=3)
     f.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
                    default="first-fit")
     f.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
     f.add_argument("--heterogeneous", action="store_true",
                    help="mix reference/weak-GPU/big-server platforms")
-    f.add_argument("--rate", type=float, default=1.0, help="arrivals per minute")
-    f.add_argument("--horizon", type=int, default=2400)
+    f.add_argument("--rate", type=_POSITIVE_FLOAT, default=1.0, help="arrivals per minute")
+    f.add_argument("--horizon", type=_POSITIVE_INT, default=2400)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--players", type=int, default=4)
     f.add_argument("--sessions", type=int, default=3)
     f.add_argument("--profiles-dir", help="cache profiles here")
-    f.add_argument("--regions", type=int, default=1, metavar="N",
+    f.add_argument("--regions", type=_POSITIVE_INT, default=1, metavar="N",
                    help="run N regional shards behind the consistent-hash "
                         "session router (fleet-of-fleets; default 1 = the "
                         "classic single fleet)")
@@ -775,11 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="fleet behind the serve-layer admission gateway"
     )
     s.add_argument("games", nargs="+")
-    s.add_argument("--nodes", type=int, default=3)
+    s.add_argument("--nodes", type=_POSITIVE_INT, default=3)
     s.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
                    default="round-robin")
-    s.add_argument("--rate", type=float, default=4.0, help="arrivals per minute")
-    s.add_argument("--horizon", type=int, default=1800)
+    s.add_argument("--rate", type=_POSITIVE_FLOAT, default=4.0, help="arrivals per minute")
+    s.add_argument("--horizon", type=_POSITIVE_INT, default=1800)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--queue-capacity", type=int, default=64,
                    help="per-category queue bound (overflow sheds)")
@@ -807,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("games", nargs="*",
                     help="game mix (required unless --validate)")
-    ch.add_argument("--nodes", type=int, default=2)
+    ch.add_argument("--nodes", type=_POSITIVE_INT, default=2)
     ch.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
                     default="round-robin")
     ch.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
@@ -822,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--warm-pool", type=int, default=None, metavar="N",
                     help="attach a Provisioner with N pre-booted standbys "
                          "(implied =1 by --scenario reclaim-storm)")
-    ch.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
-    ch.add_argument("--horizon", type=int, default=900)
+    ch.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
+    ch.add_argument("--horizon", type=_POSITIVE_INT, default=900)
     ch.add_argument("--seed", type=int, default=0)
     ch.add_argument("--players", type=int, default=4)
     ch.add_argument("--sessions", type=int, default=3)
@@ -839,11 +867,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an observed experiment; export metrics.prom + trace.json",
     )
     o.add_argument("games", nargs="+")
-    o.add_argument("--nodes", type=int, default=2)
+    o.add_argument("--nodes", type=_POSITIVE_INT, default=2)
     o.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
                    default="round-robin")
-    o.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
-    o.add_argument("--horizon", type=int, default=600)
+    o.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
+    o.add_argument("--horizon", type=_POSITIVE_INT, default=600)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--faults", action="store_true",
                    help="replay the demo fault plan (fault spans in the trace)")
@@ -864,12 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("games", nargs="+")
     r.add_argument("-o", "--output", default="run.cgtrace",
                    help="trace file to write (default: run.cgtrace)")
-    r.add_argument("--nodes", type=int, default=2)
+    r.add_argument("--nodes", type=_POSITIVE_INT, default=2)
     r.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
                    default="round-robin")
     r.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
-    r.add_argument("--rate", type=float, default=2.0, help="arrivals per minute")
-    r.add_argument("--horizon", type=int, default=600)
+    r.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
+    r.add_argument("--horizon", type=_POSITIVE_INT, default=600)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--plan", help="fault-plan JSON to inject and record")
     r.add_argument("--warm-pool", type=int, default=None, metavar="N",

@@ -696,7 +696,8 @@ class CoCGScheduler:
                     )
                     self._log(
                         ctl.session.session_id, "probe",
-                        f"ceiling raised toward {np.round(target.array, 1)}",
+                        "ceiling raised toward "
+                        + " ".join(f"{v:.1f}" for v in target.array.tolist()),
                     )
                     return
             self._control_execution(ctl, judgment)

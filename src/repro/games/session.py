@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,8 @@ _session_counter = itertools.count()
 
 #: AR(1) correlation of within-cluster demand (per second).
 _AR_RHO = 0.85
+#: Innovation scale of the AR(1) process, so the deviation keeps ``std``.
+_AR_INNOVATION = np.sqrt(1.0 - _AR_RHO**2)
 #: Minimum realized execution-stage duration in seconds.
 _MIN_STAGE_SECONDS = 5.0
 
@@ -134,6 +136,8 @@ class GameSession:
         self._active_cluster: str = ""
         self._dwell_left = 0.0
         self._deviation = np.zeros(4)  # AR(1) state
+        # cluster name -> (mean, std) demand on this session's platform
+        self._cluster_demand: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._bursts: List[BurstEvent] = []
         self.history: List[Tuple[str, int, int]] = []  # (stage, start, end)
         self._stage_start = 0
@@ -270,10 +274,20 @@ class GameSession:
             self._dwell_left = self._sample_dwell(stage)
             self._deviation = np.zeros(4)
 
+    def _platform_demand(self, cluster) -> Tuple[np.ndarray, np.ndarray]:
+        """A cluster's demand mean and std on this platform, cached."""
+        scaled = self._cluster_demand.get(cluster.name)
+        if scaled is None:
+            scaled = (
+                self.platform.scale_demand(cluster.mean).array,
+                cluster.std.array * self.platform.factors.array,
+            )
+            self._cluster_demand[cluster.name] = scaled
+        return scaled
+
     def _sample_demand(self, cluster, stage: StageSpec) -> ResourceVector:
-        mean = self.platform.scale_demand(cluster.mean).array
-        std = cluster.std.array * self.platform.factors.array
-        noise = self._rng.normal(size=4) * std * np.sqrt(1.0 - _AR_RHO**2)
+        mean, std = self._platform_demand(cluster)
+        noise = self._rng.normal(size=4) * std * _AR_INNOVATION
         self._deviation = _AR_RHO * self._deviation + noise
         demand = mean + self._deviation
 
@@ -287,7 +301,7 @@ class GameSession:
                 self._bursts = [b.tick() for b in self._bursts]
                 self._bursts = [b for b in self._bursts if b.active]
 
-        return ResourceVector.from_array(np.clip(demand, 0.0, 100.0))
+        return ResourceVector.from_array(demand.clip(0.0, 100.0))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = "finished" if self.finished else self.current_stage.name

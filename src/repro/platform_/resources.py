@@ -68,13 +68,24 @@ class ResourceVector:
     # ------------------------------------------------------------------
     @staticmethod
     def from_array(values: Iterable[float]) -> "ResourceVector":
-        """Build from any length-4 iterable/array."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                         dtype=float).reshape(-1)
-        if arr.shape != (N_DIMS,):
-            raise ValueError(f"expected {N_DIMS} components, got shape {arr.shape}")
-        out = ResourceVector()
-        data = arr.copy()
+        """Build from any length-4 iterable/array (copied, never aliased)."""
+        data = np.array(
+            values if isinstance(values, np.ndarray) else list(values), dtype=float
+        )
+        if data.ndim != 1:
+            data = data.flatten()  # a fresh copy: no view kept over ``data``
+        if data.shape != (N_DIMS,):
+            raise ValueError(f"expected {N_DIMS} components, got shape {data.shape}")
+        return ResourceVector._own(data)
+
+    @staticmethod
+    def _own(data: np.ndarray) -> "ResourceVector":
+        """Wrap a fresh float ``(4,)`` array nothing else references.
+
+        The algebra's results are such arrays already, so they skip
+        ``__init__``'s zero vector and :meth:`from_array`'s copy.
+        """
+        out = object.__new__(ResourceVector)
         data.setflags(write=False)
         out._data = data
         return out
@@ -82,7 +93,8 @@ class ResourceVector:
     @staticmethod
     def coerce(value: VectorLike) -> "ResourceVector":
         """Accept a vector, mapping, or iterable and return a vector."""
-        if isinstance(value, ResourceVector):
+        # The exact type is the per-tick case; isinstance admits subclasses.
+        if type(value) is ResourceVector or isinstance(value, ResourceVector):
             return value
         if isinstance(value, Mapping):
             unknown = set(value) - set(DIMENSIONS)
@@ -99,7 +111,7 @@ class ResourceVector:
     @staticmethod
     def full(value: float) -> "ResourceVector":
         """All dimensions set to ``value`` (e.g. ``full(100)`` = capacity)."""
-        return ResourceVector.from_array(np.full(N_DIMS, float(value)))
+        return ResourceVector._own(np.full(N_DIMS, float(value)))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -142,38 +154,38 @@ class ResourceVector:
     # Algebra
     # ------------------------------------------------------------------
     def __add__(self, other: VectorLike) -> "ResourceVector":
-        return ResourceVector.from_array(self._data + ResourceVector.coerce(other)._data)
+        return ResourceVector._own(self._data + ResourceVector.coerce(other)._data)
 
     def __sub__(self, other: VectorLike) -> "ResourceVector":
-        return ResourceVector.from_array(self._data - ResourceVector.coerce(other)._data)
+        return ResourceVector._own(self._data - ResourceVector.coerce(other)._data)
 
     def __mul__(self, scalar: float) -> "ResourceVector":
-        return ResourceVector.from_array(self._data * float(scalar))
+        return ResourceVector._own(self._data * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "ResourceVector":
-        return ResourceVector.from_array(self._data / float(scalar))
+        return ResourceVector._own(self._data / float(scalar))
 
     def maximum(self, other: VectorLike) -> "ResourceVector":
         """Element-wise max (the 'peak' combinator)."""
-        return ResourceVector.from_array(
+        return ResourceVector._own(
             np.maximum(self._data, ResourceVector.coerce(other)._data)
         )
 
     def minimum(self, other: VectorLike) -> "ResourceVector":
         """Element-wise min."""
-        return ResourceVector.from_array(
+        return ResourceVector._own(
             np.minimum(self._data, ResourceVector.coerce(other)._data)
         )
 
     def clip(self, lo: float = 0.0, hi: float = np.inf) -> "ResourceVector":
         """Clamp every component into ``[lo, hi]``."""
-        return ResourceVector.from_array(np.clip(self._data, lo, hi))
+        return ResourceVector._own(self._data.clip(lo, hi))
 
     def scale(self, factors: VectorLike) -> "ResourceVector":
         """Element-wise multiply (platform heterogeneity scaling)."""
-        return ResourceVector.from_array(
+        return ResourceVector._own(
             self._data * ResourceVector.coerce(factors)._data
         )
 

@@ -165,9 +165,10 @@ class Server:
 
     def headroom_fraction(self) -> float:
         """Smallest relative slack across host dims and all GPU dims."""
+        host = self.allocated_host()
         fracs = [
-            1.0 - self.allocated_host()[0] / self.cpu_capacity,
-            1.0 - self.allocated_host()[1] / self.ram_capacity,
+            1.0 - host[0] / self.cpu_capacity,
+            1.0 - host[1] / self.ram_capacity,
         ]
         for i, gpu in enumerate(self.gpus):
             dev = self.allocated_gpu(i)
@@ -217,19 +218,22 @@ class Server:
             raise ValueError(f"allocation must be non-negative, got {allocation}")
         old = placement.allocation
         placement.allocation = allocation
-        if (
-            self.allocated_host()[0] > self.cpu_capacity + 1e-9
-            or self.allocated_host()[1] > self.ram_capacity + 1e-9
-            or any(
-                self.allocated_gpu(i)[0] > g.gpu_capacity + 1e-9
-                or self.allocated_gpu(i)[1] > g.gpu_mem_capacity + 1e-9
-                for i, g in enumerate(self.gpus)
-            )
-        ):
+        if self._over_capacity():
             placement.allocation = old
             raise CapacityError(
                 f"allocation {allocation} for {session_id!r} exceeds capacity"
             )
+
+    def _over_capacity(self) -> bool:
+        """Whether the summed allocations exceed any capacity."""
+        host = self.allocated_host()
+        if host[0] > self.cpu_capacity + 1e-9 or host[1] > self.ram_capacity + 1e-9:
+            return True
+        for i, g in enumerate(self.gpus):
+            dev = self.allocated_gpu(i)
+            if dev[0] > g.gpu_capacity + 1e-9 or dev[1] > g.gpu_mem_capacity + 1e-9:
+                return True
+        return False
 
     def remove(self, session_id: str) -> Placement:
         """Release a session's reservation."""

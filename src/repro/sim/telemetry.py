@@ -216,20 +216,20 @@ class TelemetryRecorder:
         """
         sample = UsageSample(int(time), session_id, demand, allocation)
         self._samples.setdefault(session_id, []).append(sample)
-        usage = sample.usage.array
+        usage = np.minimum(demand.array, allocation.array)
         if self.noise_std > 0:
             observed = usage + self._rng.normal(scale=self.noise_std, size=N_DIMS)
-            observed = np.clip(observed, 0.0, 100.0)
+            observed = observed.clip(0.0, 100.0)
         else:
-            observed = usage.copy()
+            observed = usage
         stored: Optional[np.ndarray] = observed
         for pert in self._perturbations:
             if stored is None or not pert.applies(time, session_id):
                 continue
             stored = pert.apply(stored)
         valid = stored is not None
-        if valid:
-            stored = np.clip(stored, 0.0, 100.0)
+        if stored is not None:
+            stored = stored.clip(0.0, 100.0)
         else:
             self.dropped_samples += 1
             stored = np.full(N_DIMS, np.nan)

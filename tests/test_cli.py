@@ -73,6 +73,48 @@ class TestParser:
             build_parser().parse_args(["chaos", "contra", "--scenario", "bad"])
 
 
+class TestBoundaryValidation:
+    """Non-positive sizes are rejected while parsing: one line, exit 2."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--nodes", "0"), ("--horizon", "-5"), ("--rate", "-1"),
+        ("--regions", "0"),
+    ])
+    def test_fleet_rejects_non_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "contra", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cocg fleet: error: argument {flag}: must be > 0, got {value}"
+        ]
+
+    @pytest.mark.parametrize("command", ["serve", "chaos", "obs", "record"])
+    def test_other_runs_reject_zero_nodes(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "contra", "--nodes", "0"])
+        assert exc.value.code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_unparseable_number_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "contra", "--rate", "fast"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "cocg fleet: error: argument --rate: invalid float value: 'fast'"
+        ]
+
+    def test_positive_values_parse(self):
+        args = build_parser().parse_args(
+            ["fleet", "contra", "--nodes", "1", "--horizon", "1",
+             "--rate", "0.5", "--regions", "2"]
+        )
+        assert (args.nodes, args.horizon, args.rate, args.regions) == (
+            1, 1, 0.5, 2
+        )
+
+
 class TestCommands:
     def test_catalog_lists_games(self, capsys):
         assert main(["catalog"]) == 0

@@ -81,6 +81,63 @@ class TestAlgebra:
         assert v.cpu == 20 and v.gpu == 5
 
 
+class TestVectorContract:
+    """Vectors own one read-only array that nothing else references."""
+
+    def test_from_array_does_not_alias_input(self):
+        src = np.array([1.0, 2.0, 3.0, 4.0])
+        v = ResourceVector.from_array(src)
+        src[0] = 99.0
+        assert v.array.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_from_array_is_readonly(self):
+        v = ResourceVector.from_array(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert not v.array.flags.writeable
+        with pytest.raises(ValueError):
+            v.array[0] = 5
+
+    @pytest.mark.parametrize("src", [
+        np.array([1.0, 2.0, 3.0, 4.0]),
+        np.array([1, 2, 3, 4]),
+        np.array([[1.0, 2.0, 3.0, 4.0]]),
+        [1, 2, 3, 4],
+    ])
+    def test_from_array_holds_no_view(self, src):
+        # A view over a copied base keeps two ndarray headers per vector.
+        v = ResourceVector.from_array(src)
+        assert v.array.base is None
+        assert v.array.shape == (4,) and v.array.dtype == np.float64
+
+    @pytest.mark.parametrize("src", [
+        [1, 2, 3], [1, 2, 3, 4, 5], np.zeros((2, 3)), np.zeros(0), 5.0,
+    ])
+    def test_from_array_bad_shape_raises(self, src):
+        with pytest.raises(ValueError):
+            ResourceVector.from_array(np.asarray(src))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * 2.0,
+        lambda a, b: 2.0 * a,
+        lambda a, b: a / 2.0,
+        lambda a, b: a.maximum(b),
+        lambda a, b: a.minimum(b),
+        lambda a, b: a.clip(0.0, 10.0),
+        lambda a, b: a.scale(b),
+    ], ids=["add", "sub", "mul", "rmul", "div", "maximum", "minimum",
+            "clip", "scale"])
+    def test_algebra_results_are_fresh_and_readonly(self, op):
+        a = ResourceVector(cpu=1, gpu=20, gpu_mem=3, ram=4)
+        b = ResourceVector(cpu=5, gpu=6, gpu_mem=0.5, ram=8)
+        out = op(a, b)
+        assert type(out) is ResourceVector
+        assert not out.array.flags.writeable
+        assert out.array.base is None
+        assert not np.shares_memory(out.array, a.array)
+        assert not np.shares_memory(out.array, b.array)
+
+
 class TestComparison:
     def test_fits_within(self):
         assert ResourceVector(cpu=10).fits_within(ResourceVector.full(10))

@@ -173,6 +173,20 @@ class TestStateMachine:
         assert after.dominates(before)
         assert np.any(after.array > before.array + 1e-9)
 
+    def test_probe_detail_names_rounded_target(self, rig):
+        feed(rig, loading_usage(rig))
+        ctl = rig["scheduler"].sessions[rig["session"].session_id]
+        feed(rig, stage_mean(rig, ctl.predicted))
+        sid = rig["session"].session_id
+        feed(rig, rig["scheduler"].allocation_of(sid).array.copy())
+        probes = [
+            d for d in rig["scheduler"].decision_log if d.action == "probe"
+        ]
+        assert probes
+        target = ctl.planner.peak_plan().array.tolist()
+        rounded = " ".join(f"{v:.1f}" for v in target)
+        assert probes[0].detail == f"ceiling raised toward {rounded}"
+
     def test_decision_log_orders_by_time(self, rig):
         feed(rig, loading_usage(rig))
         ctl = rig["scheduler"].sessions[rig["session"].session_id]
