@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
 
 from repro.obs.metrics import CounterChild
 from repro.obs.naming import ALGO1_BATCHES, ALGO1_EVALUATIONS
 from repro.obs.observer import Observer
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.util.effects import effects
 
 __all__ = [
@@ -106,13 +107,15 @@ class BatchEvaluation:
         footprint when the view provides one.
         """
         if self._current is None:
-            current = ResourceVector.zeros()
+            # Raw in-place adds from zero: the same sums, in the same
+            # order, as chaining vector ``+``, without a vector per term.
+            current = np.zeros(N_DIMS)
             for task in self._running:
                 min_alloc = getattr(task, "min_allocation", None)
-                current = current + (
+                current += (
                     min_alloc() if callable(min_alloc) else task.current_allocation
-                )
-            self._current = current
+                ).array
+            self._current = ResourceVector.from_array(current)
         return self._current
 
     @effects(hot_path=True)
@@ -127,14 +130,14 @@ class BatchEvaluation:
             per_task_peaks: List[List[ResourceVector]] = [
                 task.predicted_peaks(horizon) for task in self._running
             ]
-            worst = ResourceVector.zeros()
+            worst = np.zeros(N_DIMS)
             for step in range(horizon):
-                step_total = ResourceVector.zeros()
+                step_total = np.zeros(N_DIMS)
                 for peaks in per_task_peaks:
                     if peaks:
-                        step_total = step_total + peaks[min(step, len(peaks) - 1)]
-                worst = worst.maximum(step_total)
-            self._worst = worst
+                        step_total += peaks[min(step, len(peaks) - 1)].array
+                np.maximum(worst, step_total, out=worst)
+            self._worst = ResourceVector.from_array(worst)
         return self._worst
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.obs.naming import (
 from repro.obs.observer import Observer
 from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.sim.telemetry import TelemetryRecorder
 from repro.streaming.encoder import EncoderModel
 from repro.util.effects import effects
@@ -803,12 +803,12 @@ class CoCGScheduler:
                 if ctl.predicted is not None
                 else ctl.planner.peak_plan()
             )
-            others = ResourceVector.zeros()
-            for other_sid, other in self._sessions.items():
+            others = np.zeros(N_DIMS)
+            for other in self._sessions.values():
                 if other is not ctl:
-                    others = others + other.desired
+                    others += other.desired.array
             if self.regulator.should_hold_in_loading(
-                plan_next, others, ctl.hold_seconds
+                plan_next, ResourceVector.from_array(others), ctl.hold_seconds
             ):
                 if ctl.hold_seconds == 0.0:
                     self.regulator.start_hold()
@@ -891,11 +891,13 @@ class CoCGScheduler:
         """
         if not self._sessions:
             return
-        placements = self.allocator.server.placements
+        server = self.allocator.server
         budget = self.allocator.capped_capacity(0).array
 
+        # Raw arrays throughout; every step below makes a new array, so
+        # the sessions' read-only ``desired`` arrays are never written.
         desired: Dict[str, np.ndarray] = {
-            sid: ctl.desired.array.copy() for sid, ctl in self._sessions.items()
+            sid: ctl.desired.array for sid, ctl in self._sessions.items()
         }
         total = np.sum(list(desired.values()), axis=0)
         over = total > budget + 1e-9
@@ -916,8 +918,8 @@ class CoCGScheduler:
         # Apply: shrinks first, then grows (cap-safe ordering).
         shrinks, grows = [], []
         for sid, vec in desired.items():
-            old = placements[sid].allocation.array
-            (shrinks if np.all(vec <= old + 1e-9) else grows).append(sid)
+            old = server.placement_of(sid).allocation.array
+            (shrinks if (vec <= old + 1e-9).all() else grows).append(sid)
         for sid in shrinks + grows:
             self.allocator.retune_clamped(
                 sid, ResourceVector.from_array(desired[sid]), time=time

@@ -22,6 +22,7 @@ bursts — the source of the misjudgment/callback events in Figs 9/10.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from repro.games.player import BurstEvent, PlayerModel
 from repro.games.spec import GameSpec, ScriptSpec, StageKind, StageSpec
 from repro.platform_.profile import PlatformProfile, REFERENCE_PLATFORM
-from repro.platform_.resources import ResourceVector
+from repro.platform_.resources import ResourceVector, clip_percent
 from repro.util.rng import Seed, as_rng
 
 __all__ = ["SessionTick", "GameSession"]
@@ -40,7 +41,7 @@ _session_counter = itertools.count()
 #: AR(1) correlation of within-cluster demand (per second).
 _AR_RHO = 0.85
 #: Innovation scale of the AR(1) process, so the deviation keeps ``std``.
-_AR_INNOVATION = np.sqrt(1.0 - _AR_RHO**2)
+_AR_INNOVATION = math.sqrt(1.0 - _AR_RHO**2)
 #: Minimum realized execution-stage duration in seconds.
 _MIN_STAGE_SECONDS = 5.0
 
@@ -135,9 +136,9 @@ class GameSession:
         self._stage_progress = 0.0  # seconds (execution) or work units (loading)
         self._active_cluster: str = ""
         self._dwell_left = 0.0
-        self._deviation = np.zeros(4)  # AR(1) state
+        self._deviation = [0.0] * 4  # AR(1) state
         # cluster name -> (mean, std) demand on this session's platform
-        self._cluster_demand: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._cluster_demand: Dict[str, Tuple[List[float], List[float]]] = {}
         self._bursts: List[BurstEvent] = []
         self.history: List[Tuple[str, int, int]] = []  # (stage, start, end)
         self._stage_start = 0
@@ -168,7 +169,7 @@ class GameSession:
         inst = self._stages[self._stage_idx]
         self._stage_progress = 0.0
         self._stage_start = self._elapsed
-        self._deviation = np.zeros(4)
+        self._deviation = [0.0] * 4
         self._bursts = []
         self._active_cluster = inst.spec.clusters[
             int(self._rng.integers(len(inst.spec.clusters)))
@@ -237,7 +238,7 @@ class GameSession:
         if stage.kind is StageKind.LOADING:
             # Loading advances at the CPU-supply rate: starving it is the
             # regulator's time-stealing lever.
-            d_cpu = demand.cpu
+            d_cpu = demand[0]
             rate = 1.0 if d_cpu <= 1e-9 else min(1.0, allocation.cpu / d_cpu)
             self._stage_progress += rate
         else:
@@ -253,7 +254,7 @@ class GameSession:
 
         return SessionTick(
             time=self._elapsed,
-            demand=demand,
+            demand=ResourceVector.from_array(demand),
             stage_name=stage.name,
             stage_kind=stage.kind,
             stage_type=stage.stage_type,
@@ -272,24 +273,35 @@ class GameSession:
             others = [c for c in stage.clusters if c != self._active_cluster]
             self._active_cluster = others[int(self._rng.integers(len(others)))]
             self._dwell_left = self._sample_dwell(stage)
-            self._deviation = np.zeros(4)
+            self._deviation = [0.0] * 4
 
-    def _platform_demand(self, cluster) -> Tuple[np.ndarray, np.ndarray]:
+    def _platform_demand(self, cluster) -> Tuple[List[float], List[float]]:
         """A cluster's demand mean and std on this platform, cached."""
         scaled = self._cluster_demand.get(cluster.name)
         if scaled is None:
             scaled = (
-                self.platform.scale_demand(cluster.mean).array,
-                cluster.std.array * self.platform.factors.array,
+                self.platform.scale_demand(cluster.mean).array.tolist(),
+                (cluster.std.array * self.platform.factors.array).tolist(),
             )
             self._cluster_demand[cluster.name] = scaled
         return scaled
 
-    def _sample_demand(self, cluster, stage: StageSpec) -> ResourceVector:
+    def _sample_demand(self, cluster, stage: StageSpec) -> List[float]:
+        """One second of demand, as four floats clipped to [0, 100].
+
+        Each float goes through the same IEEE operations, in the same
+        order, as an element of the ``(4,)`` array step would: noise
+        ``(n·s)·c``, deviation ``ρ·d + noise``, then ``mean + deviation``
+        plus each active burst.  Reordering any of them changes the
+        corpus digests.
+        """
         mean, std = self._platform_demand(cluster)
-        noise = self._rng.normal(size=4) * std * _AR_INNOVATION
-        self._deviation = _AR_RHO * self._deviation + noise
-        demand = mean + self._deviation
+        noise = self._rng.normal(size=4).tolist()
+        self._deviation = deviation = [
+            _AR_RHO * d + (n * s) * _AR_INNOVATION
+            for d, n, s in zip(self._deviation, noise, std)
+        ]
+        demand = [m + d for m, d in zip(mean, deviation)]
 
         if stage.kind is StageKind.EXECUTION:
             burst = self.player.maybe_burst(self._rng)
@@ -297,11 +309,13 @@ class GameSession:
                 self._bursts.append(burst)
             if self._bursts:
                 for b in self._bursts:
-                    demand = demand + b.extra.array
+                    demand = [
+                        x + e for x, e in zip(demand, b.extra.array.tolist())
+                    ]
                 self._bursts = [b.tick() for b in self._bursts]
                 self._bursts = [b for b in self._bursts if b.active]
 
-        return ResourceVector.from_array(demand.clip(0.0, 100.0))
+        return clip_percent(demand)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = "finished" if self.finished else self.current_stage.name

@@ -63,8 +63,30 @@ class Allocator:
 
     def capped_available(self, gpu_index: int) -> ResourceVector:
         """Remaining budget under the cap for a new session on ``gpu_index``."""
-        used = self.server.capacity_vector(gpu_index) - self.server.available(gpu_index)
-        return (self.capped_capacity(gpu_index) - used).clip(lo=0.0)
+        return ResourceVector.from_array(self._capped_room(gpu_index))
+
+    def _capped_room(self, gpu_index: int) -> List[float]:
+        """:meth:`capped_available` as four floats.
+
+        Per dimension: ``capacity·cap − (capacity − available)``, clipped
+        at zero — the vector algebra's operations, in its order.
+        """
+        k = self.utilization_cap
+        room = [
+            c * k - (c - a)
+            for c, a in zip(
+                self.server.capacity_components(gpu_index),
+                self.server.available_components(gpu_index),
+            )
+        ]
+        return [0.0 if x < 0.0 else x for x in room]
+
+    def _budget(self, placement: Placement) -> List[float]:
+        """A hosted session's retune budget: the capped room plus its
+        own ceiling, clipped at zero, as four floats."""
+        room = self._capped_room(placement.gpu_index)
+        total = [r + x for r, x in zip(room, placement.allocation.array.tolist())]
+        return [0.0 if x < 0.0 else x for x in total]
 
     def can_place(self, allocation: ResourceVector, gpu_index: int) -> bool:
         """Admission test under the cap."""
@@ -112,11 +134,10 @@ class Allocator:
         AllocationError
             When the new ceiling would push any dimension over the cap.
         """
-        placement = self.server.placements.get(session_id)
+        placement = self.server.placement_of(session_id)
         if placement is None:
             raise KeyError(f"session {session_id!r} is not placed")
-        others_budget = self.capped_available(placement.gpu_index)
-        budget = (others_budget + placement.allocation).clip(lo=0.0)
+        budget = ResourceVector.from_array(self._budget(placement))
         if not allocation.fits_within(budget):
             raise AllocationError(
                 f"retune of {session_id!r} to {allocation} exceeds the "
@@ -139,13 +160,16 @@ class Allocator:
         regulator uses when it *shrinks* a session to resolve a spike —
         shrinking must never fail.
         """
-        placement = self.server.placements.get(session_id)
+        placement = self.server.placement_of(session_id)
         if placement is None:
             raise KeyError(f"session {session_id!r} is not placed")
-        budget = (
-            self.capped_available(placement.gpu_index) + placement.allocation
-        ).clip(lo=0.0)
-        granted = allocation.minimum(budget).clip(lo=0.0)
+        clamped = []
+        for x, b in zip(allocation.array.tolist(), self._budget(placement)):
+            # ``np.minimum``: a NaN on either side wins, and of two equal
+            # values (0.0 and -0.0) the budget's is taken.
+            g = x if x < b or x != x else b
+            clamped.append(0.0 if g < 0.0 else g)
+        granted = ResourceVector.from_array(clamped)
         self.server.set_allocation(session_id, granted)
         self.events.append(
             AllocationEvent(time, "retune", session_id, placement.gpu_index, granted)
@@ -172,7 +196,7 @@ class Allocator:
 
     def allocation_of(self, session_id: str) -> ResourceVector:
         """Current ceiling of a hosted session."""
-        placement = self.server.placements.get(session_id)
+        placement = self.server.placement_of(session_id)
         if placement is None:
             raise KeyError(f"session {session_id!r} is not placed")
         return placement.allocation

@@ -20,6 +20,7 @@ fraction-of-best FPS (the y-axis of Fig 13).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -65,13 +66,21 @@ class FpsModel:
 
         Dimensions with zero demand never bind.
         """
-        d = demand.array
-        a = allocation.array
-        active = d > 1e-9
-        if not active.any():
+        # Four floats: a numpy mask, min and clip cost more than the
+        # arithmetic.  As in numpy, NaN propagates and -0.0 is kept.
+        active = False
+        lowest = math.inf
+        for d, a in zip(demand.array.tolist(), allocation.array.tolist()):
+            if d > 1e-9:
+                active = True
+                ratio = a / d
+                if ratio < lowest or ratio != ratio:
+                    lowest = ratio
+        if not active:
             return 1.0
-        ratios = a[active] / d[active]
-        return float(np.clip(ratios.min(), 0.0, 1.0))
+        if lowest < 0.0:
+            return 0.0
+        return 1.0 if lowest > 1.0 else lowest
 
     def fps(
         self,

@@ -11,11 +11,11 @@ per-device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.platform_.resources import CPU, GPU, ResourceVector
+from repro.platform_.resources import ResourceVector
 from repro.util.validation import check_positive
 
 __all__ = ["GPUDevice", "Placement", "Server", "CapacityError"]
@@ -69,6 +69,9 @@ class Server:
       scheduler does every 5-second control tick).
     * ``Server`` does not model *usage* — that is telemetry, produced by
       the simulation from sessions' demand and their ceilings.
+    * The summed allocations are cached and re-summed, in placement
+      order, after every :meth:`place`, :meth:`set_allocation` and
+      :meth:`remove`; change a ceiling only through those methods.
     """
 
     def __init__(
@@ -91,6 +94,10 @@ class Server:
         if not self.gpus:
             raise ValueError("a server needs at least one GPU")
         self._placements: Dict[str, Placement] = {}
+        # Summed (cpu, ram) and per-GPU (gpu, gpu_mem) allocations, as
+        # ``sum()`` over the placements returns them (int 0 when empty).
+        self._host: Tuple[float, float] = (0, 0)
+        self._dev: List[Tuple[float, float]] = [(0, 0)] * len(self.gpus)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -105,6 +112,10 @@ class Server:
         """Read-only view of hosted sessions."""
         return dict(self._placements)
 
+    def placement_of(self, session_id: str) -> Optional[Placement]:
+        """One hosted session's placement, or ``None`` (no dict copy)."""
+        return self._placements.get(session_id)
+
     @property
     def session_ids(self) -> List[str]:
         """Hosted session ids."""
@@ -112,13 +123,17 @@ class Server:
 
     def capacity_vector(self, gpu_index: int) -> ResourceVector:
         """Capacity as seen by a session pinned to ``gpu_index``."""
+        return ResourceVector.from_array(self.capacity_components(gpu_index))
+
+    def capacity_components(self, gpu_index: int) -> List[float]:
+        """:meth:`capacity_vector` as four floats (cpu, gpu, gpu_mem, ram)."""
         gpu = self._gpu(gpu_index)
-        return ResourceVector(
-            cpu=self.cpu_capacity,
-            gpu=gpu.gpu_capacity,
-            gpu_mem=gpu.gpu_mem_capacity,
-            ram=self.ram_capacity,
-        )
+        return [
+            self.cpu_capacity,
+            float(gpu.gpu_capacity),
+            float(gpu.gpu_mem_capacity),
+            self.ram_capacity,
+        ]
 
     def _gpu(self, gpu_index: int) -> GPUDevice:
         if not (0 <= gpu_index < len(self.gpus)):
@@ -130,38 +145,46 @@ class Server:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def _resum(self) -> None:
+        """Re-derive the cached totals: one fresh ``sum()`` per dimension,
+        over the placements in insertion order."""
+        cpu: List[float] = []
+        ram: List[float] = []
+        dev: List[Tuple[List[float], List[float]]] = [([], []) for _ in self.gpus]
+        for p in self._placements.values():
+            c, g, m, r = p.allocation.array.tolist()
+            cpu.append(c)
+            ram.append(r)
+            core, mem = dev[p.gpu_index]
+            core.append(g)
+            mem.append(m)
+        self._host = (sum(cpu), sum(ram))
+        self._dev = [(sum(core), sum(mem)) for core, mem in dev]
+
     def allocated_host(self) -> np.ndarray:
         """Summed (cpu, ram) allocation over all sessions."""
-        cpu = sum(p.allocation.cpu for p in self._placements.values())
-        ram = sum(p.allocation.ram for p in self._placements.values())
-        return np.array([cpu, ram])
+        return np.array(self._host)
 
     def allocated_gpu(self, gpu_index: int) -> np.ndarray:
         """Summed (gpu, gpu_mem) allocation on one device."""
         self._gpu(gpu_index)
-        g = sum(
-            p.allocation.gpu
-            for p in self._placements.values()
-            if p.gpu_index == gpu_index
-        )
-        m = sum(
-            p.allocation.gpu_mem
-            for p in self._placements.values()
-            if p.gpu_index == gpu_index
-        )
-        return np.array([g, m])
+        return np.array(self._dev[gpu_index])
+
+    def available_components(self, gpu_index: int) -> List[float]:
+        """:meth:`available` as four floats (cpu, gpu, gpu_mem, ram)."""
+        gpu = self._gpu(gpu_index)
+        cpu, ram = self._host
+        g, m = self._dev[gpu_index]
+        return [
+            self.cpu_capacity - cpu,
+            gpu.gpu_capacity - g,
+            gpu.gpu_mem_capacity - m,
+            self.ram_capacity - ram,
+        ]
 
     def available(self, gpu_index: int) -> ResourceVector:
         """Remaining capacity for a new session pinned to ``gpu_index``."""
-        host = self.allocated_host()
-        dev = self.allocated_gpu(gpu_index)
-        gpu = self._gpu(gpu_index)
-        return ResourceVector(
-            cpu=self.cpu_capacity - host[0],
-            gpu=gpu.gpu_capacity - dev[0],
-            gpu_mem=gpu.gpu_mem_capacity - dev[1],
-            ram=self.ram_capacity - host[1],
-        )
+        return ResourceVector.from_array(self.available_components(gpu_index))
 
     def headroom_fraction(self) -> float:
         """Smallest relative slack across host dims and all GPU dims."""
@@ -206,6 +229,7 @@ class Server:
             )
         placement = Placement(session_id, int(gpu_index), allocation)
         self._placements[session_id] = placement
+        self._resum()
         return placement
 
     def set_allocation(self, session_id: str, allocation: ResourceVector) -> None:
@@ -216,22 +240,23 @@ class Server:
         placement = self._require(session_id)
         if not allocation.is_nonnegative():
             raise ValueError(f"allocation must be non-negative, got {allocation}")
-        old = placement.allocation
+        old, totals = placement.allocation, (self._host, self._dev)
         placement.allocation = allocation
+        self._resum()
         if self._over_capacity():
             placement.allocation = old
+            self._host, self._dev = totals
             raise CapacityError(
                 f"allocation {allocation} for {session_id!r} exceeds capacity"
             )
 
     def _over_capacity(self) -> bool:
         """Whether the summed allocations exceed any capacity."""
-        host = self.allocated_host()
-        if host[0] > self.cpu_capacity + 1e-9 or host[1] > self.ram_capacity + 1e-9:
+        cpu, ram = self._host
+        if cpu > self.cpu_capacity + 1e-9 or ram > self.ram_capacity + 1e-9:
             return True
-        for i, g in enumerate(self.gpus):
-            dev = self.allocated_gpu(i)
-            if dev[0] > g.gpu_capacity + 1e-9 or dev[1] > g.gpu_mem_capacity + 1e-9:
+        for g, (core, mem) in zip(self.gpus, self._dev):
+            if core > g.gpu_capacity + 1e-9 or mem > g.gpu_mem_capacity + 1e-9:
                 return True
         return False
 
@@ -239,6 +264,7 @@ class Server:
         """Release a session's reservation."""
         placement = self._require(session_id)
         del self._placements[session_id]
+        self._resum()
         return placement
 
     def _require(self, session_id: str) -> Placement:

@@ -31,6 +31,7 @@ rollouts (the benchmark quantifies the gap).
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -202,7 +203,11 @@ class AdmissionGateway:
         The fleet's :class:`~repro.cluster.fleet.ClusterScheduler`.  The
         gateway does not attach itself — call
         ``scheduler.attach_gateway(gateway)`` to route ``submit``/
-        ``pump`` through it.
+        ``pump`` through it.  The gateway holds the cluster through a
+        weak proxy: the attached cluster already owns the gateway, and a
+        strong back-reference would make every finished run cyclic
+        garbage instead of freeing it by refcount.  Keep the cluster
+        alive for as long as the gateway is used.
     config:
         Queue/rate/patience bounds.
     telemetry:
@@ -239,7 +244,7 @@ class AdmissionGateway:
         obs: Optional[Observer] = None,
         trace: Optional["TraceRecorder"] = None,
     ):
-        self.scheduler = scheduler
+        self.scheduler = weakref.proxy(scheduler)
         self.config = config if config is not None else GatewayConfig()
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryRecorder(noise_std=0.0)

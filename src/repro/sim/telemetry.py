@@ -17,33 +17,22 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.platform_.resources import DIMENSIONS, N_DIMS, ResourceVector
+from repro.platform_.resources import (
+    DIMENSIONS,
+    N_DIMS,
+    ResourceVector,
+    clip_percent,
+)
 from repro.util.rng import Seed, as_rng
 from repro.util.timeseries import ResourceSeries
 from repro.util.validation import check_fraction, check_nonnegative
 
 __all__ = [
-    "UsageSample",
     "FaultEvent",
     "GatewayEvent",
     "TelemetryPerturbation",
     "TelemetryRecorder",
 ]
-
-
-@dataclass(frozen=True)
-class UsageSample:
-    """One second of one session's telemetry."""
-
-    time: int
-    session_id: str
-    demand: ResourceVector
-    allocation: ResourceVector
-
-    @property
-    def usage(self) -> ResourceVector:
-        """True consumption: demand clipped at the ceiling."""
-        return self.demand.minimum(self.allocation)
 
 
 @dataclass(frozen=True)
@@ -154,6 +143,28 @@ class TelemetryPerturbation:
         return perturbed
 
 
+class _SessionTrack:
+    """One session's recorded seconds, one list per column.
+
+    ``demand``/``allocation`` hold the recorded vectors' read-only
+    arrays (ground truth); ``observed`` the stored observation rows, NaN
+    where a dropout fault lost the sample.
+    """
+
+    __slots__ = ("times", "demand", "allocation", "observed", "valid")
+
+    def __init__(self) -> None:
+        self.times: List[int] = []
+        self.demand: List[np.ndarray] = []
+        self.allocation: List[np.ndarray] = []
+        self.observed: List[np.ndarray] = []
+        self.valid: List[bool] = []
+
+    def usage_rows(self) -> List[np.ndarray]:
+        """True consumption per second: demand clipped at the ceiling."""
+        return [np.minimum(d, a) for d, a in zip(self.demand, self.allocation)]
+
+
 class TelemetryRecorder:
     """Accumulates per-session usage and serves it back as time series.
 
@@ -171,10 +182,7 @@ class TelemetryRecorder:
         check_nonnegative("noise_std", noise_std)
         self.noise_std = float(noise_std)
         self._rng = as_rng(seed)
-        self._samples: Dict[str, List[UsageSample]] = {}
-        self._observed: Dict[str, List[np.ndarray]] = {}
-        self._valid: Dict[str, List[bool]] = {}
-        self._times: Dict[str, List[int]] = {}
+        self._tracks: Dict[str, _SessionTrack] = {}
         self._perturbations: List[TelemetryPerturbation] = []
         self.fault_events: List[FaultEvent] = []
         self.gateway_events: List[GatewayEvent] = []
@@ -214,50 +222,70 @@ class TelemetryRecorder:
         :meth:`observed_window`) and the clean observation is returned —
         the sensor failed, not the game.
         """
-        sample = UsageSample(int(time), session_id, demand, allocation)
-        self._samples.setdefault(session_id, []).append(sample)
-        usage = np.minimum(demand.array, allocation.array)
+        track = self._tracks.get(session_id)
+        if track is None:
+            track = self._tracks[session_id] = _SessionTrack()
+        d = demand.array
+        a = allocation.array
+        track.times.append(int(time))
+        track.demand.append(d)
+        track.allocation.append(a)
+        usage = np.minimum(d, a)
+        # ``clipped``: the row is already in [0, 100], so the stored copy
+        # needs no second clip unless a perturbation touches it.
         if self.noise_std > 0:
-            observed = usage + self._rng.normal(scale=self.noise_std, size=N_DIMS)
-            observed = observed.clip(0.0, 100.0)
+            noisy = usage + self._rng.normal(scale=self.noise_std, size=N_DIMS)
+            observed = np.array(clip_percent(noisy.tolist()))
+            clipped = True
         else:
             observed = usage
+            clipped = False
         stored: Optional[np.ndarray] = observed
         for pert in self._perturbations:
-            if stored is None or not pert.applies(time, session_id):
-                continue
-            stored = pert.apply(stored)
+            if pert.applies(time, session_id):
+                stored = pert.apply(stored)
+                clipped = False
+                if stored is None:
+                    break
         valid = stored is not None
-        if stored is not None:
-            stored = stored.clip(0.0, 100.0)
-        else:
+        if stored is None:
             self.dropped_samples += 1
             stored = np.full(N_DIMS, np.nan)
-        self._observed.setdefault(session_id, []).append(stored)
-        self._valid.setdefault(session_id, []).append(valid)
-        self._times.setdefault(session_id, []).append(int(time))
+        elif not clipped:
+            stored = stored.clip(0.0, 100.0)
+        track.observed.append(stored)
+        track.valid.append(valid)
         return ResourceVector.from_array(observed)
 
     # ------------------------------------------------------------------
     @property
     def session_ids(self) -> List[str]:
         """Sessions with at least one recorded sample."""
-        return list(self._samples)
+        return list(self._tracks)
 
     def n_samples(self, session_id: str) -> int:
         """Number of recorded seconds for one session."""
-        return len(self._samples.get(session_id, ()))
+        track = self._tracks.get(session_id)
+        return len(track.times) if track is not None else 0
+
+    def _track(self, session_id: str) -> _SessionTrack:
+        track = self._tracks.get(session_id)
+        if track is None:
+            raise KeyError(f"no telemetry for session {session_id!r}")
+        return track
+
+    def _series(self, track: _SessionTrack, rows: List[np.ndarray]) -> ResourceSeries:
+        return ResourceSeries(
+            np.stack(rows), DIMENSIONS, period=1.0, start=float(track.times[0])
+        )
 
     def observed_series(self, session_id: str) -> ResourceSeries:
         """Noisy usage telemetry of one session (what the profiler sees).
 
         Samples lost to a dropout fault appear as NaN rows.
         """
-        rows = self._observed.get(session_id)
-        if not rows:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        start = float(self._times[session_id][0])
-        return ResourceSeries(np.stack(rows), DIMENSIONS, period=1.0, start=start)
+        track = self._track(session_id)
+        return self._series(track, track.observed)
 
     def observed_window(
         self, session_id: str, seconds: int
@@ -268,11 +296,11 @@ class TelemetryRecorder:
         window) or when every sample in the window was dropped; samples
         lost to a dropout fault are masked out of the mean.
         """
-        rows = self._observed.get(session_id)
-        if rows is None or len(rows) < seconds:
+        track = self._tracks.get(session_id)
+        if track is None or len(track.observed) < seconds:
             return None
-        window = rows[-seconds:]
-        flags = self._valid[session_id][-seconds:]
+        window = track.observed[-seconds:]
+        flags = track.valid[-seconds:]
         kept = [row for row, ok in zip(window, flags) if ok]
         if not kept:
             return None
@@ -280,47 +308,24 @@ class TelemetryRecorder:
 
     def valid_fraction(self, session_id: str) -> float:
         """Fraction of a session's samples that survived dropout."""
-        flags = self._valid.get(session_id)
-        if not flags:
-            raise KeyError(f"no telemetry for session {session_id!r}")
+        flags = self._track(session_id).valid
         return float(sum(flags)) / len(flags)
 
     def true_demand_series(self, session_id: str) -> ResourceSeries:
         """Ground-truth demand (evaluation only — invisible in a real
         deployment)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.demand.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        track = self._track(session_id)
+        return self._series(track, track.demand)
 
     def true_usage_series(self, session_id: str) -> ResourceSeries:
         """Ground-truth clipped usage (demand ∧ allocation, no noise)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.usage.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        track = self._track(session_id)
+        return self._series(track, track.usage_rows())
 
     def allocation_series(self, session_id: str) -> ResourceSeries:
         """Granted ceilings over time (the Fig-10 'allocated' line)."""
-        samples = self._samples.get(session_id)
-        if not samples:
-            raise KeyError(f"no telemetry for session {session_id!r}")
-        return ResourceSeries(
-            np.stack([s.allocation.array for s in samples]),
-            DIMENSIONS,
-            period=1.0,
-            start=float(samples[0].time),
-        )
+        track = self._track(session_id)
+        return self._series(track, track.allocation)
 
     # ------------------------------------------------------------------
     def total_usage_matrix(self, horizon: int) -> np.ndarray:
@@ -329,10 +334,10 @@ class TelemetryRecorder:
         Seconds with no running session contribute zero.
         """
         total = np.zeros((int(horizon), N_DIMS))
-        for sid, samples in self._samples.items():
-            for s in samples:
-                if 0 <= s.time < horizon:
-                    total[s.time] += s.usage.array
+        for track in self._tracks.values():
+            for t, usage in zip(track.times, track.usage_rows()):
+                if 0 <= t < horizon:
+                    total[t] += usage
         return total
 
     def peak_total_usage(self, horizon: int) -> np.ndarray:
@@ -349,13 +354,12 @@ class TelemetryRecorder:
         samples hash as a sentinel so dropout placement is covered too.
         """
         h = hashlib.sha256()
-        for sid in sorted(self._observed):
+        for sid in sorted(self._tracks):
+            track = self._tracks[sid]
             h.update(sid.encode())
-            h.update(np.asarray(self._times[sid], dtype=np.int64).tobytes())
-            h.update(
-                np.asarray(self._valid[sid], dtype=np.bool_).tobytes()
-            )
-            for row, ok in zip(self._observed[sid], self._valid[sid]):
+            h.update(np.asarray(track.times, dtype=np.int64).tobytes())
+            h.update(np.asarray(track.valid, dtype=np.bool_).tobytes())
+            for row, ok in zip(track.observed, track.valid):
                 h.update(
                     np.round(row, 6).tobytes() if ok else b"<dropped>"
                 )

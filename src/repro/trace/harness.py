@@ -119,6 +119,15 @@ class RunConfig:
         "max_queue_seconds", "fault_seed", "warm_pool", "region",
     )
 
+    #: Fields that count something and must be >= 1, and rates or
+    #: durations that must be > 0.  They are checked here, at the
+    #: boundary, rather than failing deep inside the run they configure.
+    _COUNT_FIELDS = (
+        "nodes", "horizon", "detect_interval", "players", "sessions",
+        "queue_capacity", "burst",
+    )
+    _RATE_FIELDS = ("rate_per_minute", "rate_limit", "max_queue_seconds")
+
     def __post_init__(self) -> None:
         if not self.games:
             raise ValueError("games must be non-empty")
@@ -128,10 +137,14 @@ class RunConfig:
         check_in(
             "strategy", self.strategy, tuple(sorted(_STRATEGY_FACTORIES))
         )
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for name in self._COUNT_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in self._RATE_FIELDS:
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.warm_pool is not None and self.warm_pool < 0:
             raise ValueError(
                 f"warm_pool must be >= 0, got {self.warm_pool}"

@@ -7,6 +7,7 @@ argument, which keeps the individual modules terse.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Tuple
 
 import numpy as np
@@ -22,16 +23,37 @@ __all__ = [
 ]
 
 
+#: Python ints ``np.isfinite`` takes as a fixed-width integer: it raises
+#: ``TypeError`` outside ``[-2**63, 2**64)`` and is true inside.
+_INT_LO, _INT_HI = -(2**63), 2**64
+
+
+def _isfinite(value: Any) -> bool:
+    """``np.isfinite(value)`` for one scalar, without numpy for float/int.
+
+    Per-second callers pass plain floats and ints, where a numpy call
+    costs more than the check; every other type (numpy scalars, bools,
+    ints too wide for int64/uint64) goes through numpy unchanged, so
+    the values accepted and the errors raised stay the same.
+    """
+    kind = type(value)
+    if kind is float:
+        return math.isfinite(value)
+    if kind is int and _INT_LO <= value < _INT_HI:
+        return True
+    return bool(np.isfinite(value))
+
+
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``."""
-    if not np.isfinite(value) or value <= 0:
+    if not _isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
 
 def check_nonnegative(name: str, value: float) -> float:
     """Require ``value >= 0``."""
-    if not np.isfinite(value) or value < 0:
+    if not _isfinite(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
     return value
 

@@ -58,6 +58,48 @@ class TestFpsModel:
             FpsModel(gamma=0.5)
 
 
+def _numpy_satisfaction(demand, allocation):
+    """The mask/min/clip formula ``FpsModel.satisfaction`` replaced."""
+    d, a = demand.array, allocation.array
+    active = d > 1e-9
+    if not active.any():
+        return 1.0
+    return float(np.clip((a[active] / d[active]).min(), 0.0, 1.0))
+
+
+class TestSatisfactionEquivalence:
+    EDGE_CASES = [
+        (rv(), rv(cpu=50, gpu=50)),  # all-zero demand
+        (rv(), rv()),  # all-zero demand and allocation
+        (rv(cpu=40, gpu=60), rv(cpu=80, gpu=80)),  # zero-demand dims
+        (rv(cpu=40, gpu=60, gpu_mem=10, ram=5), rv(cpu=90, gpu=90, gpu_mem=90, ram=90)),
+        (rv(cpu=40, gpu=60, gpu_mem=10, ram=5), rv()),  # zero allocation
+        (rv(cpu=1e-9, gpu=1e-10), rv()),  # demand at the 1e-9 threshold
+        (rv(cpu=1e-8), rv(cpu=5e-9)),
+        (rv(cpu=30, gpu=30), rv(cpu=30, gpu=15)),
+        (rv(cpu=30, gpu=30), ResourceVector.from_array([-0.0, 30, 0, 0])),
+        (rv(cpu=30, gpu=30), ResourceVector.from_array([-5.0, 30, 0, 0])),
+        (rv(cpu=30, gpu=30), ResourceVector.from_array([np.nan, 30, 0, 0])),
+        (rv(cpu=30, gpu=30), ResourceVector.from_array([np.inf, 30, 0, 0])),
+    ]
+
+    @pytest.mark.parametrize("demand, allocation", EDGE_CASES)
+    def test_edge_cases_match_numpy(self, demand, allocation):
+        got = FpsModel().satisfaction(demand, allocation)
+        want = _numpy_satisfaction(demand, allocation)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_random_inputs_match_numpy(self):
+        rng = np.random.default_rng(13)
+        model = FpsModel()
+        for _ in range(2000):
+            demand = rng.uniform(0, 100, 4) * (rng.random(4) < 0.8)
+            allocation = rng.uniform(0, 120, 4) * (rng.random(4) < 0.9)
+            d = ResourceVector.from_array(demand)
+            a = ResourceVector.from_array(allocation)
+            assert model.satisfaction(d, a) == _numpy_satisfaction(d, a)
+
+
 class TestQoSTracker:
     def test_report_aggregates(self):
         t = QoSTracker()

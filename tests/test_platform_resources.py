@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platform_.resources import CPU, DIMENSIONS, GPU, ResourceVector
+from repro.platform_.resources import GPU, ResourceVector, clip_percent
 
 components = st.floats(0, 100, allow_nan=False)
 vectors = st.builds(
@@ -177,3 +177,17 @@ def test_minimum_fits_within_both(a, b):
 def test_maximum_dominates_both(a, b):
     m = a.maximum(b)
     assert m.dominates(a) and m.dominates(b)
+
+
+class TestClipPercent:
+    VALUES = [-0.0, 0.0, -1e-300, 1e-300, 42.5, 100.0, 100.0 + 1e-12, 250.0,
+              -3.0, float("nan"), float("inf"), float("-inf")]
+
+    def test_matches_numpy_clip_bit_for_bit(self):
+        want = np.clip(np.array(self.VALUES), 0.0, 100.0)
+        assert np.array(clip_percent(self.VALUES)).tobytes() == want.tobytes()
+
+    def test_random_values_match_numpy_clip(self):
+        values = np.random.default_rng(5).normal(50.0, 60.0, 400)
+        want = values.clip(0.0, 100.0)
+        assert np.array(clip_percent(values.tolist())).tobytes() == want.tobytes()

@@ -175,3 +175,109 @@ def test_conservation_property(allocs, retunes):
     assert host[0] <= 95 + 1e-6
     assert dev[0] <= 95 + 1e-6
     assert dev[1] <= 95 + 1e-6
+
+
+def _fresh_totals(server):
+    """The summed allocations, re-derived from the placements."""
+    placed = list(server.placements.values())
+    host = (sum(p.allocation.cpu for p in placed), sum(p.allocation.ram for p in placed))
+    dev = [
+        (
+            sum(p.allocation.gpu for p in placed if p.gpu_index == i),
+            sum(p.allocation.gpu_mem for p in placed if p.gpu_index == i),
+        )
+        for i in range(server.n_gpus)
+    ]
+    return host, dev
+
+
+def _assert_cache_fresh(server):
+    host, dev = _fresh_totals(server)
+    assert server.allocated_host().tobytes() == np.array(host).tobytes()
+    for i, totals in enumerate(dev):
+        assert server.allocated_gpu(i).tobytes() == np.array(totals).tobytes()
+    assert server.available(0).array.tolist() == [
+        server.cpu_capacity - host[0],
+        server.gpus[0].gpu_capacity - dev[0][0],
+        server.gpus[0].gpu_mem_capacity - dev[0][1],
+        server.ram_capacity - host[1],
+    ]
+
+
+class TestCachedTotals:
+    """The server's cached sums always equal a fresh sum, bit for bit."""
+
+    def test_after_every_mutation_and_rollback(self):
+        rng = np.random.default_rng(21)
+        server = Server("s")
+        _assert_cache_fresh(server)
+        rollbacks = 0
+        for step in range(400):
+            sid = f"s{int(rng.integers(8))}"
+            alloc = ResourceVector.from_array(rng.uniform(0, 45, 4))
+            try:
+                if sid not in server.placements:
+                    server.place(sid, int(rng.integers(2)), alloc)
+                elif rng.random() < 0.25:
+                    server.remove(sid)
+                else:
+                    server.set_allocation(sid, alloc)
+            except CapacityError:
+                rollbacks += 1
+            _assert_cache_fresh(server)
+        assert rollbacks > 0  # the rollback path was exercised
+
+    def test_rejected_set_allocation_restores_totals(self):
+        server = Server("s", gpus=[GPUDevice()])
+        server.place("a", 0, rv(cpu=10.1, gpu=50.3))
+        server.place("b", 0, rv(cpu=20.7, gpu=40.9))
+        before = (server.allocated_host().tobytes(), server.allocated_gpu(0).tobytes())
+        with pytest.raises(CapacityError):
+            server.set_allocation("a", rv(gpu=70))
+        assert (server.allocated_host().tobytes(), server.allocated_gpu(0).tobytes()) == before
+        _assert_cache_fresh(server)
+
+    def test_empty_server_sums_like_sum(self):
+        server = Server("s")
+        server.place("a", 1, rv(cpu=5))
+        server.remove("a")
+        _assert_cache_fresh(server)
+
+
+def _vector_clamp(allocator, session_id, allocation):
+    """``retune_clamped``'s grant by the vector algebra, from fresh sums."""
+    server = allocator.server
+    placement = server.placements[session_id]
+    gi = placement.gpu_index
+    host, dev = _fresh_totals(server)
+    gpu = server.gpus[gi]
+    capacity = ResourceVector(
+        cpu=server.cpu_capacity, gpu=gpu.gpu_capacity,
+        gpu_mem=gpu.gpu_mem_capacity, ram=server.ram_capacity,
+    )
+    available = ResourceVector(
+        cpu=server.cpu_capacity - host[0], gpu=gpu.gpu_capacity - dev[gi][0],
+        gpu_mem=gpu.gpu_mem_capacity - dev[gi][1], ram=server.ram_capacity - host[1],
+    )
+    room = (capacity * allocator.utilization_cap - (capacity - available)).clip(lo=0.0)
+    budget = (room + placement.allocation).clip(lo=0.0)
+    return allocation.minimum(budget).clip(lo=0.0)
+
+
+def test_retune_clamped_matches_vector_algebra():
+    rng = np.random.default_rng(8)
+    allocator = Allocator(Server("s"), utilization_cap=0.9)
+    for i in range(6):
+        allocator.place(f"s{i}", ResourceVector.from_array(rng.uniform(0, 12, 4)))
+    for step in range(300):
+        sid = f"s{int(rng.integers(6))}"
+        request = rng.uniform(-5, 60, 4)
+        request[rng.random(4) < 0.15] = 0.0
+        allocation = ResourceVector.from_array(request)
+        want = _vector_clamp(allocator, sid, allocation)
+        granted = allocator.retune_clamped(sid, allocation)
+        assert granted.array.tobytes() == want.array.tobytes()
+        assert allocator.capped_available(0).array.tobytes() == (
+            allocator.capped_capacity(0)
+            - (allocator.server.capacity_vector(0) - allocator.server.available(0))
+        ).clip(lo=0.0).array.tobytes()

@@ -7,7 +7,9 @@ fleet telemetry digest exactly.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from repro.cluster.provisioner import Provisioner
 from repro.faults.plan import FaultPlan
 from repro.games.category import GameCategory
 from repro.games.player import PlayerModel
+from repro.sim.telemetry import TelemetryRecorder
 from repro.trace import (
     SCENARIOS,
     ReplayDivergence,
@@ -175,6 +178,34 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="strategy"):
             RunConfig(games=("contra",), strategy="magic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate_per_minute", 0.0), ("rate_per_minute", -2.0),
+        ("rate_per_minute", float("nan")), ("detect_interval", 0),
+        ("queue_capacity", 0), ("rate_limit", -1.0), ("rate_limit", 0.0),
+        ("burst", 0), ("max_queue_seconds", -5.0), ("max_queue_seconds", 0.0),
+        ("players", 0), ("sessions", 0), ("horizon", -1),
+    ])
+    def test_boundary_values_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunConfig(games=("contra",), **{field: value})
+
+    def test_boundary_values_rejected_on_load(self):
+        with pytest.raises(ValueError, match="^players must be >= 1"):
+            RunConfig.from_dict({"games": ["contra"], "players": 0})
+
+    def test_smallest_valid_values_accepted(self):
+        RunConfig(
+            games=("contra",), nodes=1, horizon=1, rate_per_minute=0.01,
+            detect_interval=1, players=1, sessions=1, queue_capacity=1,
+            rate_limit=0.01, burst=1, max_queue_seconds=0.01,
+        )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_shipped_corpus_headers_load(self, name):
+        corpus = Path(__file__).resolve().parents[1] / "corpus"
+        document = TraceDocument.load(corpus / f"{name}.cgtrace")
+        RunConfig.from_dict(document.header.config)
+
 
 # ---------------------------------------------------------------------------
 # Scripted players
@@ -256,6 +287,26 @@ class TestRecordReplay:
         # The timelines agree record-for-record; only the sealed digest
         # was forged, so no divergent record can be named.
         assert report.divergence == ""
+
+    def test_finished_replay_frees_by_refcount(self, document, monkeypatch):
+        """No cross-layer back-reference keeps a finished run alive: with
+        the cycle collector off, its telemetry is freed on return."""
+        recorders = []
+        init = TelemetryRecorder.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            recorders.append(weakref.ref(self))
+
+        monkeypatch.setattr(TelemetryRecorder, "__init__", tracking_init)
+        gc.collect()
+        gc.disable()
+        try:
+            replay_document(document)
+            alive = [ref for ref in recorders if ref() is not None]
+        finally:
+            gc.enable()
+        assert recorders and not alive
 
     def test_recorder_requires_finalize(self):
         recorder = TraceRecorder(seed=0, config={"games": ["contra"]})

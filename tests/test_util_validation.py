@@ -80,3 +80,50 @@ class TestArrayChecks:
     def test_2d_rejects_1d(self):
         with pytest.raises(ValueError):
             check_array_2d("m", [1, 2, 3])
+
+
+class TestScalarCheckTypes:
+    """The plain float/int fast path accepts and rejects what numpy does."""
+
+    TYPES = [float, int, np.float64, np.float32, np.int64]
+
+    @pytest.mark.parametrize("kind", TYPES)
+    def test_positive_accepts_every_type(self, kind):
+        assert check_positive("x", kind(3)) == kind(3)
+
+    @pytest.mark.parametrize("kind", TYPES)
+    def test_nonnegative_accepts_zero_of_every_type(self, kind):
+        assert check_nonnegative("x", kind(0)) == kind(0)
+
+    @pytest.mark.parametrize("kind", TYPES)
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_positive_rejects_nonpositive(self, kind, bad):
+        with pytest.raises(ValueError, match="positive finite"):
+            check_positive("x", kind(bad))
+
+    @pytest.mark.parametrize("kind", TYPES)
+    def test_nonnegative_rejects_negative(self, kind):
+        with pytest.raises(ValueError, match="non-negative finite"):
+            check_nonnegative("x", kind(-1))
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("check", [check_positive, check_nonnegative])
+    def test_non_finite_rejected(self, kind, bad, check):
+        with pytest.raises(ValueError, match="finite"):
+            check("x", kind(bad))
+
+    def test_negative_zero_is_nonnegative_not_positive(self):
+        assert check_nonnegative("x", -0.0) == 0.0
+        with pytest.raises(ValueError):
+            check_positive("x", -0.0)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**64 - 1, True])
+    def test_ints_numpy_takes_are_accepted(self, value):
+        assert check_positive("x", value) == value
+
+    @pytest.mark.parametrize("value", [2**64, 10**400, -(2**63) - 1])
+    @pytest.mark.parametrize("check", [check_positive, check_nonnegative])
+    def test_ints_numpy_refuses_still_raise_type_error(self, value, check):
+        with pytest.raises(TypeError):
+            check("x", value)
