@@ -9,8 +9,8 @@ Four subcommands cover the operator workflow the paper describes:
 * ``cocg colocate GAME [GAME …]`` — run a co-location experiment under a
   chosen strategy and print throughput/QoS;
 * ``cocg fleet GAME [GAME …]`` — dispatch Poisson arrivals over a small
-  heterogeneous fleet; ``--regions N`` runs the fleet-of-fleets instead:
-  N independent regional shards behind the consistent-hash session
+  (optionally heterogeneous) fleet; ``--regions N`` splits it into N
+  independent regional shards behind the consistent-hash session
   router, merged into one cross-shard digest (``docs/FLEET.md``);
 * ``cocg serve GAME [GAME …]`` — the fleet behind the serve-layer
   admission gateway: bounded queues, rate limiting, micro-batched
@@ -35,17 +35,29 @@ Four subcommands cover the operator workflow the paper describes:
   whole-program rules CG010–CG014 and the effect system
   CG015–CG018) over the codebase.
 
+Every run subcommand (``fleet``, ``serve``, ``chaos``, ``obs``,
+``record``) is the same four steps: its flags become a
+:class:`~repro.trace.harness.RunConfig`, the :mod:`repro.trace.harness`
+builders assemble the fleet from it, the run executes, and the report is
+printed.
+
 Diagnostics (bad plans, unknown games/scenarios, digest mismatches) go
 to stderr; stdout carries only the requested report, so piping
-``cocg … | tee`` captures clean output.  Bad arguments (an unknown
-flag, or a ``--nodes``/``--horizon``/``--rate``/``--regions`` that is not
-positive) are rejected while parsing, with one stderr line and exit
-code 2.
+``cocg … | tee`` captures clean output.  Every subcommand shares one
+exit-code contract:
+
+* ``0`` — ok;
+* ``1`` — the run or a check failed (a replay diverged, a fault plan
+  failed ``--validate``, lint found problems, the session ledger or a
+  determinism check did not balance);
+* ``2`` — bad input or a stale artifact: an unknown flag or game, a
+  value the run configuration rejects (one ``cocg <cmd>: error: …``
+  stderr line, checked before anything runs), an unreadable fault plan
+  or trace, or a stale shard-plan certificate.
 
 ``cocg fleet`` and ``cocg serve`` certify the shard-plan certificate
 (the packaged ``shardplan.json``, or ``--shard-plan PATH``) against the
-runtime's registered entry points before starting; a stale or
-undecorated certificate fails fast with exit code 2.
+runtime's registered entry points before starting.
 
 Run ``python -m repro.cli --help`` (or the installed ``cocg`` script).
 """
@@ -74,8 +86,6 @@ __all__ = [
     "cmd_lint",
 ]
 
-_STRATEGIES = ("cocg", "reactive", "gaugur", "vbp", "max-static")
-
 _Number = TypeVar("_Number", int, float)
 
 
@@ -100,6 +110,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+class _BadInput(Exception):
+    """Input rejected before anything runs; :func:`main` exits 2."""
 
 
 def _err(message: str) -> None:
@@ -128,41 +142,89 @@ def _certify_or_fail(args) -> int:
     return 0
 
 
-def _make_strategy(name: str):
-    from repro.baselines import (
-        CoCGStrategy,
-        GAugurStrategy,
-        MaxStaticStrategy,
-        ReactiveStrategy,
-        VBPStrategy,
-    )
+def _check_games(games: Sequence[str]) -> Dict:
+    """The catalog, once every name in ``games`` is known to it."""
+    from repro.games.catalog import build_catalog
 
-    return {
-        "cocg": CoCGStrategy,
-        "reactive": ReactiveStrategy,
-        "gaugur": GAugurStrategy,
-        "vbp": VBPStrategy,
-        "max-static": MaxStaticStrategy,
-    }[name]()
+    catalog = build_catalog()
+    unknown = [g for g in games if g not in catalog]
+    if unknown:
+        raise _BadInput(
+            f"unknown game(s) {unknown}; available: {', '.join(sorted(catalog))}"
+        )
+    return catalog
 
 
-def _load_or_build_profiles(
-    games: Sequence[str], args
-) -> Dict[str, "GameProfile"]:
+#: Run flag (argparse dest) -> the RunConfig field it sets.
+_CONFIG_FLAGS = {
+    "nodes": "nodes",
+    "policy": "policy",
+    "strategy": "strategy",
+    "horizon": "horizon",
+    "rate": "rate_per_minute",
+    "seed": "seed",
+    "players": "players",
+    "sessions": "sessions",
+    "heterogeneous": "heterogeneous",
+    "queue_capacity": "queue_capacity",
+    "rate_limit": "rate_limit",
+    "burst": "burst",
+    "max_queue_seconds": "max_queue_seconds",
+    "warm_pool": "warm_pool",
+}
+
+
+def _run_config(args, **fields):
+    """The run's :class:`~repro.trace.harness.RunConfig`, checked.
+
+    Takes every run flag the subcommand defines, then ``fields`` on top.
+    Live runs train every predictor backend.  An unknown game or a value
+    the config rejects raises :class:`_BadInput`, before anything runs.
+    """
+    from repro.core.predictor import BACKENDS
+    from repro.trace.harness import RunConfig
+
+    _check_games(args.games)
+    values = {
+        field: getattr(args, flag)
+        for flag, field in _CONFIG_FLAGS.items()
+        if hasattr(args, flag)
+    }
+    values["backends"] = BACKENDS
+    values.update(fields)
+    try:
+        return RunConfig(games=tuple(args.games), **values)
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from None
+
+
+def _load_plan(path: str):
+    """Read a fault-plan JSON file; an unreadable plan is bad input."""
+    import json
+    from pathlib import Path
+
+    from repro.faults import FaultPlan
+
+    try:
+        return FaultPlan.from_dict(json.loads(Path(path).read_text()))
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        raise _BadInput(
+            f"{path}: bad fault plan: {exc} (`cocg chaos --validate "
+            f"--plan {path}` lists every problem)"
+        ) from None
+
+
+def _load_or_build_profiles(config, profiles_dir: Optional[str]) -> Dict:
+    """The config's game profiles, loaded from or saved to ``profiles_dir``."""
     from pathlib import Path
 
     from repro.core.pipeline import GameProfile
     from repro.games.catalog import build_catalog
 
     catalog = build_catalog()
-    unknown = [g for g in games if g not in catalog]
-    if unknown:
-        raise SystemExit(
-            f"unknown game(s) {unknown}; available: {', '.join(sorted(catalog))}"
-        )
     profiles = {}
-    for game in games:
-        path = Path(args.profiles_dir) / f"{game}.profile.json" if args.profiles_dir else None
+    for game in config.games:
+        path = Path(profiles_dir) / f"{game}.profile.json" if profiles_dir else None
         if path is not None and path.exists():
             profiles[game] = GameProfile.load(path, catalog[game])
             print(f"loaded profile: {path}")
@@ -170,15 +232,22 @@ def _load_or_build_profiles(
             print(f"profiling {game} (no saved profile)…")
             profiles[game] = GameProfile.build(
                 catalog[game],
-                n_players=args.players,
-                sessions_per_player=args.sessions,
-                seed=args.seed,
+                n_players=config.players,
+                sessions_per_player=config.sessions,
+                seed=config.seed,
+                backends=config.backends,
             )
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 profiles[game].save(path)
                 print(f"saved profile: {path}")
     return profiles
+
+
+def _write_obs(obs, out: str, label: str) -> None:
+    metrics_path, trace_path = obs.write(out)
+    print(f"{label} {metrics_path} + {trace_path} "
+          f"(trace digest {obs.trace_digest()[:16]}…)")
 
 
 # ----------------------------------------------------------------------
@@ -206,13 +275,8 @@ def cmd_catalog(args) -> int:
 def cmd_profile(args) -> int:
     """``cocg profile``: run the offline pipeline, optionally persist."""
     from repro.core.pipeline import GameProfile
-    from repro.games.catalog import build_catalog
 
-    catalog = build_catalog()
-    if args.game not in catalog:
-        raise SystemExit(
-            f"unknown game {args.game!r}; available: {', '.join(sorted(catalog))}"
-        )
+    catalog = _check_games([args.game])
     profile = GameProfile.build(
         catalog[args.game],
         n_players=args.players,
@@ -230,12 +294,14 @@ def cmd_profile(args) -> int:
 
 def cmd_colocate(args) -> int:
     """``cocg colocate``: run one co-location experiment and report."""
+    from repro.trace.harness import make_strategy
     from repro.workloads.experiment import ColocationExperiment
 
-    profiles = _load_or_build_profiles(args.games, args)
-    strategy = _make_strategy(args.strategy)
+    config = _run_config(args)
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
     result = ColocationExperiment(
-        profiles, strategy, horizon=args.horizon, seed=args.seed
+        profiles, make_strategy(config.strategy),
+        horizon=config.horizon, seed=config.seed,
     ).run()
     print(f"\nstrategy:           {result.strategy}")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
@@ -250,147 +316,64 @@ def cmd_colocate(args) -> int:
     return 0
 
 
-def _cmd_fleet_regions(args) -> int:
-    """The ``cocg fleet --regions N`` path: the fleet-of-fleets."""
-    from repro.fleet import FleetOfFleets, RegionSpec
-    from repro.trace import RunConfig
-
-    if args.heterogeneous:
-        _err("note: --heterogeneous is ignored with --regions "
-             "(regional shards run the reference platform)")
-    try:
-        config = RunConfig(
-            games=tuple(args.games),
-            nodes=args.nodes,
-            policy=args.policy,
-            strategy=args.strategy,
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            players=args.players,
-            sessions=args.sessions,
-            gateway=False,
-        )
-        regions = [RegionSpec(f"r{i}") for i in range(args.regions)]
-        result = FleetOfFleets(config, regions).run()
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    print(f"\nfleet-of-fleets: {args.regions} regions x {args.nodes} "
-          f"nodes, policy={args.policy}")
-    print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
-    print(f"completed runs:     {result.completed_runs}")
-    print(f"{'region':8} {'routed':>7} {'completed':>10} digest")
-    for name in sorted(result.regions):
-        outcome = result.regions[name]
-        print(f"  {name:8} {result.requests_routed.get(name, 0):>5} "
-              f"{sum(outcome.result.completed_runs.values()):>10} "
-              f"{outcome.digest[:16]}…")
-    print(f"merged digest:      {result.merged_digest}")
-    return 0
-
-
 def cmd_fleet(args) -> int:
     """``cocg fleet``: Poisson arrivals over a (possibly heterogeneous)
-    fleet of CoCG- or baseline-scheduled nodes; ``--regions N`` runs
-    the sharded fleet-of-fleets instead."""
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
-    from repro.games.catalog import build_catalog
-    from repro.platform_.profile import (
-        BIG_SERVER_PLATFORM,
-        REFERENCE_PLATFORM,
-        WEAK_GPU_PLATFORM,
-    )
+    fleet of CoCG- or baseline-scheduled nodes, split into ``--regions``
+    shards (one by default: the plain single fleet)."""
+    from repro.fleet import FleetOfFleets, RegionSpec
 
     rc = _certify_or_fail(args)
     if rc:
         return rc
-    if args.regions > 1:
-        return _cmd_fleet_regions(args)
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
-    platforms = [REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM]
-    nodes = [
-        FleetNode(
-            f"node-{i}",
-            _make_strategy(args.strategy),
-            profiles,
-            platform=platforms[i % len(platforms)] if args.heterogeneous
-            else REFERENCE_PLATFORM,
-            seed=args.seed + i,
-        )
-        for i in range(args.nodes)
-    ]
-    cluster = ClusterScheduler(nodes, policy=args.policy)
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in args.games],
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-    ).run()
-    print(f"\nfleet of {args.nodes} nodes, policy={args.policy}")
-    print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
-    print(f"completed runs:     {result.completed_runs}")
-    print(f"mean wait:          {result.mean_wait_seconds:.1f}s "
-          f"({result.deferrals} deferrals, {result.waiting} still queued)")
-    print(f"fraction of best:   {result.fraction_of_best:.0%}")
-    for node_id, gpu in sorted(result.per_node_mean_gpu.items()):
-        print(f"  {node_id:8} mean GPU {gpu:5.1f} %  "
-              f"runs {result.per_node_completed.get(node_id, {})}")
+    config = _run_config(args, gateway=False)
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
+    regions = [RegionSpec(f"r{i}") for i in range(args.regions)]
+    fleet = FleetOfFleets(config, regions, profiles=profiles).run()
+    if args.regions == 1:
+        (outcome,) = fleet.regions.values()
+        result = outcome.result
+        print(f"\nfleet of {config.nodes} nodes, policy={config.policy}")
+        print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
+        print(f"completed runs:     {result.completed_runs}")
+        print(f"mean wait:          {result.mean_wait_seconds:.1f}s "
+              f"({result.deferrals} deferrals, {result.waiting} still queued)")
+        print(f"fraction of best:   {result.fraction_of_best:.0%}")
+        for node_id, gpu in sorted(result.per_node_mean_gpu.items()):
+            print(f"  {node_id:8} mean GPU {gpu:5.1f} %  "
+                  f"runs {result.per_node_completed.get(node_id, {})}")
+        return 0
+    print(f"\nfleet-of-fleets: {args.regions} regions x {config.nodes} "
+          f"nodes, policy={config.policy}")
+    print(f"throughput (Eq 2):  {fleet.throughput:,.0f} game-seconds")
+    print(f"completed runs:     {fleet.completed_runs}")
+    print(f"{'region':8} {'routed':>7} {'completed':>10} digest")
+    for name in sorted(fleet.regions):
+        outcome = fleet.regions[name]
+        print(f"  {name:8} {fleet.requests_routed.get(name, 0):>5} "
+              f"{sum(outcome.result.completed_runs.values()):>10} "
+              f"{outcome.digest[:16]}…")
+    print(f"merged digest:      {fleet.merged_digest}")
     return 0
 
 
 def cmd_serve(args) -> int:
     """``cocg serve``: the fleet behind the admission gateway."""
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
-    from repro.games.catalog import build_catalog
     from repro.obs import Observer
-    from repro.serve import AdmissionGateway, GatewayConfig, RolloutCache
+    from repro.trace.harness import build_experiment
 
     rc = _certify_or_fail(args)
     if rc:
         return rc
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
-    obs = Observer() if getattr(args, "obs_out", None) else None
-    nodes = [
-        FleetNode(
-            f"node-{i}",
-            _make_strategy("cocg"),
-            profiles,
-            seed=args.seed + i,
-        )
-        for i in range(args.nodes)
-    ]
-    cluster = ClusterScheduler(nodes, policy=args.policy)
-    gateway = AdmissionGateway(
-        cluster,
-        config=GatewayConfig(
-            queue_capacity=args.queue_capacity,
-            rate_per_second=args.rate_limit,
-            burst=args.burst,
-            max_queue_seconds=args.max_queue_seconds,
-            micro_batching=not args.no_batching,
-        ),
-        obs=obs,
-    )
-    cluster.attach_gateway(gateway)
-    cache = RolloutCache()
-    for node in nodes:
-        node.strategy.scheduler.attach_rollout_cache(cache)
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in args.games],
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-        obs=obs,
-    ).run()
+    config = _run_config(args, micro_batching=not args.no_batching)
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
+    obs = Observer() if args.obs_out else None
+    experiment = build_experiment(config, profiles, obs=obs)
+    result = experiment.run()
+    gateway = experiment.cluster.gateway
     stats = gateway.stats()
-    print(f"\nfleet of {args.nodes} nodes behind the gateway "
-          f"(policy={args.policy}, "
-          f"batching={'off' if args.no_batching else 'on'})")
+    print(f"\nfleet of {config.nodes} nodes behind the gateway "
+          f"(policy={config.policy}, "
+          f"batching={'on' if config.micro_batching else 'off'})")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
     print(f"completed runs:     {result.completed_runs}")
     print(f"gateway outcomes:   queued={stats['queued']} "
@@ -398,20 +381,16 @@ def cmd_serve(args) -> int:
           f"dead-lettered={stats['dead_lettered']}")
     print(f"still queued:       {stats['depth']} "
           f"({stats['throttled_rounds']} throttled rounds)")
-    if not args.no_batching:
+    if config.micro_batching:
         b = gateway.batcher.stats()
         print(f"micro-batching:     {b['evaluations']} shared evaluations, "
               f"{b['prescreen_rejects']} pre-screen rejects")
-    print(f"rollout cache:      {cache.hits} hits / {cache.misses} misses "
-          f"({cache.hit_rate:.0%})")
     print("per-category SLO (time in queue):")
     for line in gateway.slo.summary_lines():
         print(f"  {line}")
     print(f"telemetry digest:   {result.telemetry_digest}")
     if obs is not None:
-        metrics_path, trace_path = obs.write(args.obs_out)
-        print(f"observability:      {metrics_path} + {trace_path} "
-              f"(trace digest {obs.trace_digest()[:16]}…)")
+        _write_obs(obs, args.obs_out, "observability:     ")
     return 0
 
 
@@ -425,7 +404,6 @@ def cmd_chaos(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.cluster import ClusterScheduler, FleetNode, Provisioner, ProvisionerConfig
     from repro.faults import (
         FaultPlan,
         default_plan,
@@ -435,11 +413,11 @@ def cmd_chaos(args) -> int:
     )
     from repro.games.catalog import build_catalog
     from repro.obs import Observer
+    from repro.trace.harness import build_cluster, make_provisioner_factory
 
     if args.validate:
         if not args.plan:
-            _err("--validate needs --plan <plan.json>")
-            return 2
+            raise _BadInput("--validate needs --plan <plan.json>")
         try:
             payload = json.loads(Path(args.plan).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -456,72 +434,40 @@ def cmd_chaos(args) -> int:
         return 0
 
     if not args.games:
-        _err("at least one GAME is required (unless --validate)")
-        return 2
-
+        raise _BadInput("at least one GAME is required (unless --validate)")
+    warm_pool = args.warm_pool
+    if warm_pool is None and args.scenario == "reclaim-storm":
+        warm_pool = 1
+    config = _run_config(args, gateway=False, warm_pool=warm_pool)
+    loaded = _load_plan(args.plan) if args.plan else None
     catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
-    if args.plan:
-        try:
-            plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            _err(f"{args.plan}: bad fault plan: {exc}")
-            _err("hint: cocg chaos --validate --plan "
-                 f"{args.plan} lists every problem")
-            return 2
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
+    if loaded is not None:
+        plan = loaded
         print(f"loaded fault plan: {args.plan} ({len(plan)} faults)")
     elif args.scenario == "reclaim-storm":
         plan = reclaim_storm_plan(
-            args.horizon,
-            seed=args.seed,
-            nodes=tuple(f"node-{i}" for i in range(args.nodes)),
+            config.horizon,
+            seed=config.seed,
+            nodes=tuple(f"node-{i}" for i in range(config.nodes)),
         )
         print(f"scenario: reclaim-storm ({len(plan)} faults)")
     else:
         plan = default_plan(
-            args.horizon, seed=args.seed, crash_node=f"node-{args.nodes - 1}"
+            config.horizon, seed=config.seed,
+            crash_node=f"node-{config.nodes - 1}",
         )
 
-    def make_cluster() -> ClusterScheduler:
-        nodes = [
-            FleetNode(
-                f"node-{i}",
-                _make_strategy(args.strategy),
-                profiles,
-                seed=args.seed + i,
-            )
-            for i in range(args.nodes)
-        ]
-        return ClusterScheduler(nodes, policy=args.policy)
-
-    make_provisioner = None
-    warm_pool = args.warm_pool
-    if warm_pool is None and args.scenario == "reclaim-storm":
-        warm_pool = 1
-    if warm_pool is not None:
-
-        def make_provisioner(cluster: ClusterScheduler) -> Provisioner:
-            return Provisioner(
-                cluster,
-                lambda node_id: FleetNode(
-                    node_id,
-                    _make_strategy(args.strategy),
-                    profiles,
-                    seed=args.seed,
-                ),
-                config=ProvisionerConfig(warm_pool_size=warm_pool),
-                seed=args.seed,
-            )
-
-    obs = Observer() if getattr(args, "obs_out", None) else None
+    obs = Observer() if args.obs_out else None
     report = run_chaos(
-        make_cluster,
-        [catalog[g] for g in args.games],
+        lambda: build_cluster(config, profiles),
+        [catalog[g] for g in config.games],
         plan=plan,
-        horizon=args.horizon,
-        rate_per_minute=args.rate,
-        seed=args.seed,
-        make_provisioner=make_provisioner,
+        horizon=config.horizon,
+        rate_per_minute=config.rate_per_minute,
+        seed=config.seed,
+        detect_interval=config.detect_interval,
+        make_provisioner=make_provisioner_factory(config, profiles),
         obs=obs,
     )
     print()
@@ -529,9 +475,7 @@ def cmd_chaos(args) -> int:
         print(line)
     print(f"\ntelemetry digest (faulted): {report.faulted.telemetry_digest}")
     if obs is not None:
-        metrics_path, trace_path = obs.write(args.obs_out)
-        print(f"observability (faulted run): {metrics_path} + {trace_path} "
-              f"(trace digest {obs.trace_digest()[:16]}…)")
+        _write_obs(obs, args.obs_out, "observability (faulted run):")
     if report.faulted.unaccounted_sessions:
         _err(
             f"WARNING: {report.faulted.unaccounted_sessions} unaccounted "
@@ -551,17 +495,25 @@ def cmd_obs(args) -> int:
     seeds and fails unless both artifacts come back byte-identical —
     the same property CI asserts.
     """
-    from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
     from repro.faults import default_plan
-    from repro.games.catalog import build_catalog
     from repro.obs import Observer
-    from repro.serve import AdmissionGateway
+    from repro.serve import GatewayConfig
+    from repro.trace.harness import build_experiment
 
-    catalog = build_catalog()
-    profiles = _load_or_build_profiles(args.games, args)
+    # The observed gateway runs at GatewayConfig's defaults, not the
+    # tighter bounds `cocg serve`/`record` default to.
+    config = _run_config(
+        args,
+        queue_capacity=GatewayConfig.queue_capacity,
+        rate_limit=GatewayConfig.rate_per_second,
+        burst=GatewayConfig.burst,
+        max_queue_seconds=GatewayConfig.max_queue_seconds,
+    )
+    profiles = _load_or_build_profiles(config, args.profiles_dir)
     plan = (
         default_plan(
-            args.horizon, seed=args.seed, crash_node=f"node-{args.nodes - 1}"
+            config.horizon, seed=config.seed,
+            crash_node=f"node-{config.nodes - 1}",
         )
         if args.faults
         else None
@@ -569,28 +521,7 @@ def cmd_obs(args) -> int:
 
     def run():
         obs = Observer()
-        nodes = [
-            FleetNode(
-                f"node-{i}",
-                _make_strategy("cocg"),
-                profiles,
-                seed=args.seed + i,
-            )
-            for i in range(args.nodes)
-        ]
-        cluster = ClusterScheduler(nodes, policy=args.policy)
-        gateway = AdmissionGateway(cluster, obs=obs)
-        cluster.attach_gateway(gateway)
-        result = FleetExperiment(
-            cluster,
-            [catalog[g] for g in args.games],
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            fault_plan=plan,
-            obs=obs,
-        ).run()
-        return result, obs
+        return build_experiment(config, profiles, plan=plan, obs=obs).run(), obs
 
     result, obs = run()
     if args.check_determinism:
@@ -602,7 +533,8 @@ def cmd_obs(args) -> int:
         print(f"trace digests equal across runs:    {same_trace}")
         print(f"telemetry digests equal:            {same_telemetry}")
         if not (same_metrics and same_trace and same_telemetry):
-            raise SystemExit("observability output is not deterministic")
+            _err("observability output is not deterministic")
+            return 1
     metrics_path, trace_path = obs.write(args.out)
     print(f"metric families:    {len(obs.registry)}")
     print(f"trace spans:        {len(obs.tracer)} "
@@ -621,48 +553,17 @@ def cmd_record(args) -> int:
     attaches a capacity plane — both are captured in the trace, so
     ``cocg replay`` reproduces the whole run.
     """
-    import json
-    from pathlib import Path
+    from repro.trace import record_run
 
-    from repro.faults import FaultPlan
-    from repro.trace import RunConfig, record_run
-
-    plan = None
-    if args.plan:
-        try:
-            plan = FaultPlan.from_dict(
-                json.loads(Path(args.plan).read_text())
-            )
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            _err(f"{args.plan}: bad fault plan: {exc}")
-            _err("hint: cocg chaos --validate --plan "
-                 f"{args.plan} lists every problem")
-            return 2
-    try:
-        config = RunConfig(
-            games=tuple(args.games),
-            nodes=args.nodes,
-            policy=args.policy,
-            strategy=args.strategy,
-            horizon=args.horizon,
-            rate_per_minute=args.rate,
-            seed=args.seed,
-            players=args.players,
-            sessions=args.sessions,
-            queue_capacity=args.queue_capacity,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_queue_seconds=args.max_queue_seconds,
-            warm_pool=args.warm_pool,
-        )
-        result, recorder = record_run(config, plan=plan)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    # A trace trains the dtc backend only (RunConfig's default), so its
+    # header stays as short as the shipped corpus's.
+    config = _run_config(args, backends=("dtc",))
+    plan = _load_plan(args.plan) if args.plan else None
+    result, recorder = record_run(config, plan=plan)
     path = recorder.save(args.output)
     stats = recorder.stats()
     document = recorder.document
-    print(f"recorded {args.horizon}s over {args.nodes} nodes: "
+    print(f"recorded {config.horizon}s over {config.nodes} nodes: "
           f"{stats['arrivals']} arrivals, {stats['stages']} stage records, "
           f"{stats['faults']} scheduled faults")
     print(f"throughput (Eq 2):  {result.throughput:,.0f} game-seconds")
@@ -746,8 +647,59 @@ def cmd_lint(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _add_run_flags(
+    p: argparse.ArgumentParser,
+    *,
+    nodes: int,
+    policy: str,
+    rate: float,
+    horizon: int,
+    players: int = 4,
+    sessions: int = 3,
+    strategy: bool = True,
+    profiles_dir: bool = True,
+) -> None:
+    """The fleet-shape, workload and profile flags every run shares."""
+    from repro.cluster import ClusterScheduler
+    from repro.trace.harness import STRATEGIES
+
+    p.add_argument("--nodes", type=_POSITIVE_INT, default=nodes)
+    p.add_argument("--policy", choices=ClusterScheduler.POLICIES,
+                   default=policy)
+    if strategy:
+        p.add_argument("--strategy", choices=STRATEGIES, default="cocg")
+    p.add_argument("--rate", type=_POSITIVE_FLOAT, default=rate,
+                   help="arrivals per minute")
+    p.add_argument("--horizon", type=_POSITIVE_INT, default=horizon)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--players", type=int, default=players,
+                   help="profile-corpus players")
+    p.add_argument("--sessions", type=int, default=sessions)
+    if profiles_dir:
+        p.add_argument("--profiles-dir", help="cache profiles here")
+
+
+def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
+    """The admission-gateway bounds (``serve``, ``record``)."""
+    p.add_argument("--queue-capacity", type=int, default=64,
+                   help="per-category queue bound (overflow sheds)")
+    p.add_argument("--rate-limit", type=float, default=4.0,
+                   help="dispatch attempts per second (token refill)")
+    p.add_argument("--burst", type=int, default=8, help="token-bucket depth")
+    p.add_argument("--max-queue-seconds", type=float, default=300.0,
+                   help="queue patience before dead-lettering")
+
+
+def _add_shard_plan_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shard-plan", metavar="PATH",
+                   help="shard-plan certificate to certify against "
+                        "(default: the packaged shardplan.json)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
+    from repro.trace.harness import STRATEGIES
+
     parser = _Parser(
         prog="cocg",
         description="CoCG: fine-grained cloud game co-location (IPDPS'24 reproduction)",
@@ -768,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("colocate", help="co-locate games on one server")
     c.add_argument("games", nargs="+")
-    c.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    c.add_argument("--strategy", choices=STRATEGIES, default="cocg")
     c.add_argument("--horizon", type=_POSITIVE_INT, default=3600)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--players", type=int, default=5)
@@ -778,56 +730,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fleet", help="Poisson arrivals over a fleet")
     f.add_argument("games", nargs="+")
-    f.add_argument("--nodes", type=_POSITIVE_INT, default=3)
-    f.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
-                   default="first-fit")
-    f.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    _add_run_flags(f, nodes=3, policy="first-fit", rate=1.0, horizon=2400)
     f.add_argument("--heterogeneous", action="store_true",
                    help="mix reference/weak-GPU/big-server platforms")
-    f.add_argument("--rate", type=_POSITIVE_FLOAT, default=1.0, help="arrivals per minute")
-    f.add_argument("--horizon", type=_POSITIVE_INT, default=2400)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--players", type=int, default=4)
-    f.add_argument("--sessions", type=int, default=3)
-    f.add_argument("--profiles-dir", help="cache profiles here")
     f.add_argument("--regions", type=_POSITIVE_INT, default=1, metavar="N",
                    help="run N regional shards behind the consistent-hash "
                         "session router (fleet-of-fleets; default 1 = the "
                         "classic single fleet)")
-    f.add_argument("--shard-plan", metavar="PATH",
-                   help="shard-plan certificate to certify against "
-                        "(default: the packaged shardplan.json)")
+    _add_shard_plan_flag(f)
     f.set_defaults(func=cmd_fleet)
 
     s = sub.add_parser(
         "serve", help="fleet behind the serve-layer admission gateway"
     )
     s.add_argument("games", nargs="+")
-    s.add_argument("--nodes", type=_POSITIVE_INT, default=3)
-    s.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
-                   default="round-robin")
-    s.add_argument("--rate", type=_POSITIVE_FLOAT, default=4.0, help="arrivals per minute")
-    s.add_argument("--horizon", type=_POSITIVE_INT, default=1800)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-category queue bound (overflow sheds)")
-    s.add_argument("--rate-limit", type=float, default=4.0,
-                   help="dispatch attempts per second (token refill)")
-    s.add_argument("--burst", type=int, default=8, help="token-bucket depth")
-    s.add_argument("--max-queue-seconds", type=float, default=300.0,
-                   help="queue patience before dead-lettering")
+    _add_run_flags(s, nodes=3, policy="round-robin", rate=4.0, horizon=1800,
+                   strategy=False)
+    _add_gateway_flags(s)
     s.add_argument("--no-batching", action="store_true",
                    help="naive per-request dispatch (same outcomes, "
                         "more predictor rollouts)")
-    s.add_argument("--players", type=int, default=4)
-    s.add_argument("--sessions", type=int, default=3)
-    s.add_argument("--profiles-dir", help="cache profiles here")
     s.add_argument("--obs-out", metavar="DIR",
                    help="attach the observability pipeline and write "
                         "metrics.prom + trace.json here")
-    s.add_argument("--shard-plan", metavar="PATH",
-                   help="shard-plan certificate to certify against "
-                        "(default: the packaged shardplan.json)")
+    _add_shard_plan_flag(s)
     s.set_defaults(func=cmd_serve)
 
     ch = sub.add_parser(
@@ -835,10 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("games", nargs="*",
                     help="game mix (required unless --validate)")
-    ch.add_argument("--nodes", type=_POSITIVE_INT, default=2)
-    ch.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
-                    default="round-robin")
-    ch.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
+    _add_run_flags(ch, nodes=2, policy="round-robin", rate=2.0, horizon=900)
     ch.add_argument("--plan", help="fault-plan JSON file (default: demo plan)")
     ch.add_argument("--validate", action="store_true",
                     help="parse and check --plan without running; "
@@ -850,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--warm-pool", type=int, default=None, metavar="N",
                     help="attach a Provisioner with N pre-booted standbys "
                          "(implied =1 by --scenario reclaim-storm)")
-    ch.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
-    ch.add_argument("--horizon", type=_POSITIVE_INT, default=900)
-    ch.add_argument("--seed", type=int, default=0)
-    ch.add_argument("--players", type=int, default=4)
-    ch.add_argument("--sessions", type=int, default=3)
-    ch.add_argument("--profiles-dir", help="cache profiles here")
     ch.add_argument("--obs-out", metavar="DIR",
                     help="attach the observability pipeline to the "
                          "faulted run and write metrics.prom + "
@@ -867,12 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an observed experiment; export metrics.prom + trace.json",
     )
     o.add_argument("games", nargs="+")
-    o.add_argument("--nodes", type=_POSITIVE_INT, default=2)
-    o.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
-                   default="round-robin")
-    o.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
-    o.add_argument("--horizon", type=_POSITIVE_INT, default=600)
-    o.add_argument("--seed", type=int, default=0)
+    _add_run_flags(o, nodes=2, policy="round-robin", rate=2.0, horizon=600,
+                   strategy=False)
     o.add_argument("--faults", action="store_true",
                    help="replay the demo fault plan (fault spans in the trace)")
     o.add_argument("--out", default="obs-out", metavar="DIR",
@@ -880,9 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--check-determinism", action="store_true",
                    help="run twice; fail unless the artifacts are "
                         "byte-identical")
-    o.add_argument("--players", type=int, default=4)
-    o.add_argument("--sessions", type=int, default=3)
-    o.add_argument("--profiles-dir", help="cache profiles here")
     o.set_defaults(func=cmd_obs)
 
     r = sub.add_parser(
@@ -892,23 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("games", nargs="+")
     r.add_argument("-o", "--output", default="run.cgtrace",
                    help="trace file to write (default: run.cgtrace)")
-    r.add_argument("--nodes", type=_POSITIVE_INT, default=2)
-    r.add_argument("--policy", choices=("first-fit", "best-fit", "round-robin"),
-                   default="round-robin")
-    r.add_argument("--strategy", choices=_STRATEGIES, default="cocg")
-    r.add_argument("--rate", type=_POSITIVE_FLOAT, default=2.0, help="arrivals per minute")
-    r.add_argument("--horizon", type=_POSITIVE_INT, default=600)
-    r.add_argument("--seed", type=int, default=0)
+    _add_run_flags(r, nodes=2, policy="round-robin", rate=2.0, horizon=600,
+                   players=3, sessions=2, profiles_dir=False)
     r.add_argument("--plan", help="fault-plan JSON to inject and record")
     r.add_argument("--warm-pool", type=int, default=None, metavar="N",
                    help="attach a Provisioner with N pre-booted standbys")
-    r.add_argument("--queue-capacity", type=int, default=64)
-    r.add_argument("--rate-limit", type=float, default=4.0)
-    r.add_argument("--burst", type=int, default=8)
-    r.add_argument("--max-queue-seconds", type=float, default=300.0)
-    r.add_argument("--players", type=int, default=3,
-                   help="profile-corpus players (captured in the trace)")
-    r.add_argument("--sessions", type=int, default=2)
+    _add_gateway_flags(r)
     r.set_defaults(func=cmd_record)
 
     rp = sub.add_parser(
@@ -940,9 +839,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point (exit codes: see the module docstring)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        _err(f"cocg {args.command}: error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,25 +33,19 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
-from repro.cluster.experiment import (
-    FleetExperiment,
-    FleetResult,
-    default_arrivals,
-)
+from repro.cluster.experiment import FleetResult, default_arrivals
 from repro.faults.plan import FaultPlan
 from repro.fleet.ring import DEFAULT_REPLICAS
 from repro.fleet.router import RoutedArrivals, SessionRouter
 from repro.games.catalog import build_catalog
-from repro.games.spec import GameSpec
 from repro.obs.naming import FLEET_COMPLETED, FLEET_ROUTED
 from repro.obs.observer import Observer
 from repro.sim.engine import run_partitioned
 from repro.trace.harness import (
     RunConfig,
-    build_cluster,
+    build_experiment,
     build_profiles,
     experiment_seed,
-    make_provisioner_factory,
 )
 from repro.trace.recorder import TraceRecorder
 from repro.util.effects import shard_entry, shard_merge_point
@@ -133,14 +127,14 @@ class RegionShard:
     config (region-stamped), arrival slice, fault plan, shared
     profiles — is bound at construction, so :meth:`run` is a
     zero-argument thunk :func:`~repro.sim.engine.run_partitioned` can
-    execute in any order.
+    execute in any order.  The fleet itself is assembled by
+    :func:`~repro.trace.harness.build_experiment`, like any other run.
     """
 
     def __init__(
         self,
         name: str,
         config: RunConfig,
-        specs: Sequence[GameSpec],
         profiles: Dict,
         *,
         arrivals: Optional[object] = None,
@@ -154,7 +148,6 @@ class RegionShard:
             # record_run, so a recorded sub-trace replays them.
             config = replace(config, fault_seed=fault_plan.seed)
         self.config = config
-        self.specs = list(specs)
         self.profiles = profiles
         self.arrivals = arrivals
         self.fault_plan = fault_plan
@@ -164,8 +157,6 @@ class RegionShard:
     @shard_entry("region:shard")
     def run(self) -> RegionOutcome:
         """Execute this shard's whole event stream, in isolation."""
-        cluster = build_cluster(self.config, self.profiles)
-        factory = make_provisioner_factory(self.config, self.profiles)
         recorder = None
         if self.record:
             recorder = TraceRecorder(
@@ -173,15 +164,10 @@ class RegionShard:
                 config=self.config.to_dict(),
                 scenario=self.scenario,
             )
-        result = FleetExperiment(
-            cluster,
-            self.specs,
-            horizon=self.config.horizon,
-            rate_per_minute=self.config.rate_per_minute,
-            seed=experiment_seed(self.config),
-            detect_interval=self.config.detect_interval,
-            fault_plan=self.fault_plan,
-            provisioner=factory(cluster) if factory is not None else None,
+        result = build_experiment(
+            self.config,
+            self.profiles,
+            plan=self.fault_plan,
             arrivals=self.arrivals,
             trace=recorder,
         ).run()
@@ -243,6 +229,9 @@ class FleetOfFleets:
         shard-internal by design).
     scenario:
         Scenario tag stamped into recorded sub-traces.
+    profiles:
+        Pre-built game profiles shared by every shard (default: trained
+        from the base config by :func:`~repro.trace.harness.build_profiles`).
     """
 
     def __init__(
@@ -255,6 +244,7 @@ class FleetOfFleets:
         record: bool = False,
         obs: Optional[Observer] = None,
         scenario: str = "",
+        profiles: Optional[Dict] = None,
     ):
         if not regions:
             raise ValueError("fleet needs at least one region")
@@ -280,6 +270,7 @@ class FleetOfFleets:
         self.record = record
         self.obs = obs
         self.scenario = scenario
+        self.profiles = profiles
         self.router = SessionRouter(
             {spec.name: spec.weight for spec in regions},
             replicas=replicas,
@@ -306,7 +297,10 @@ class FleetOfFleets:
         """Construct every region's independent shard (no execution)."""
         catalog = build_catalog()
         game_specs = [catalog[g] for g in self.config.games]
-        profiles = build_profiles(self.config, catalog)
+        profiles = (
+            self.profiles if self.profiles is not None
+            else build_profiles(self.config, catalog)
+        )
         names = sorted(self.specs_by_name)
         if self.arrival_mode == "routed":
             stream = default_arrivals(
@@ -338,7 +332,6 @@ class FleetOfFleets:
             name: RegionShard(
                 name,
                 self._region_config(self.specs_by_name[name]),
-                game_specs,
                 profiles,
                 arrivals=slices[name],
                 fault_plan=self.specs_by_name[name].fault_plan,

@@ -40,6 +40,7 @@ from repro.trace.format import (
 from repro.trace.harness import (
     RunConfig,
     build_cluster,
+    build_experiment,
     build_profiles,
     experiment_seed,
     record_run,
@@ -96,6 +97,7 @@ __all__ = [
     "experiment_seed",
     "build_profiles",
     "build_cluster",
+    "build_experiment",
     "record_run",
     "replay_document",
     "replay_path",

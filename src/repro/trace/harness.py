@@ -8,10 +8,12 @@ exactly like :class:`~repro.faults.plan.FaultSpec`), so its canonical
 fingerprint pins the configuration a trace was recorded under.
 
 The helpers compose the rest of the stack from a config:
-:func:`build_profiles` -> :func:`build_cluster` -> :func:`record_run`
-for the recording side, :func:`replay_document`/:func:`replay_path` for
-the replay side.  ``cocg record``/``cocg replay`` and the corpus
-generator are thin wrappers over these.
+:func:`build_profiles` -> :func:`build_cluster` ->
+:func:`build_experiment` -> :func:`record_run` for the recording side,
+:func:`replay_document`/:func:`replay_path` for the replay side.  They
+are the one assembly path: every ``cocg`` run subcommand, the corpus
+generator and each :class:`~repro.fleet.RegionShard` build their fleet
+through them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ from repro.cluster.provisioner import Provisioner, ProvisionerConfig
 from repro.core.pipeline import GameProfile
 from repro.faults.plan import FaultPlan
 from repro.games.catalog import build_catalog
+from repro.obs.observer import Observer
+from repro.platform_.profile import (
+    BIG_SERVER_PLATFORM,
+    REFERENCE_PLATFORM,
+    WEAK_GPU_PLATFORM,
+)
 from repro.serve.gateway import AdmissionGateway, GatewayConfig
 from repro.trace.format import TraceDocument
 from repro.trace.recorder import TraceRecorder
@@ -42,11 +50,13 @@ from repro.util.validation import check_in
 
 __all__ = [
     "RunConfig",
+    "STRATEGIES",
     "make_strategy",
     "experiment_seed",
     "build_profiles",
     "build_cluster",
     "make_provisioner_factory",
+    "build_experiment",
     "record_run",
     "replay_document",
     "replay_path",
@@ -59,6 +69,15 @@ _STRATEGY_FACTORIES = {
     "vbp": VBPStrategy,
     "max-static": MaxStaticStrategy,
 }
+
+#: Strategy names, in the order the CLI lists them.
+STRATEGIES = tuple(_STRATEGY_FACTORIES)
+
+#: ``RunConfig.heterogeneous`` assigns node ``i`` the platform
+#: ``_HETEROGENEOUS_PLATFORMS[i % 3]``.
+_HETEROGENEOUS_PLATFORMS = (
+    REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM,
+)
 
 
 def make_strategy(name: str):
@@ -87,6 +106,11 @@ class RunConfig:
     sharded run replay through the ordinary machinery while staying
     byte-distinct across regions; ``seed`` stays the fleet-wide base so
     profile training is shared.
+
+    ``heterogeneous`` cycles the nodes through the reference, weak-GPU
+    and big-server platforms (§IV-D); ``micro_batching=False`` switches
+    the gateway to naive per-request dispatch (same outcomes, more
+    predictor rollouts).
     """
 
     games: Tuple[str, ...]
@@ -108,6 +132,8 @@ class RunConfig:
     fault_seed: int = 0
     warm_pool: Optional[int] = None
     region: str = ""
+    heterogeneous: bool = False
+    micro_batching: bool = True
 
     #: Keys that may be elided from the payload (everything but games),
     #: in declaration order — one tuple serves serialization and strict
@@ -117,6 +143,7 @@ class RunConfig:
         "seed", "detect_interval", "players", "sessions", "backends",
         "gateway", "queue_capacity", "rate_limit", "burst",
         "max_queue_seconds", "fault_seed", "warm_pool", "region",
+        "heterogeneous", "micro_batching",
     )
 
     #: Fields that count something and must be >= 1, and rates or
@@ -227,14 +254,18 @@ def build_profiles(
 
 
 def build_cluster(
-    config: RunConfig, profiles: Dict[str, GameProfile]
+    config: RunConfig,
+    profiles: Dict[str, GameProfile],
+    *,
+    obs: Optional[Observer] = None,
 ) -> ClusterScheduler:
     """One fresh fleet per call (gateway attached when configured).
 
     A regioned config prefixes node ids (``east/node-0``) and offsets
     node seeds from the region-namespaced experiment seed, so two
     regions of one sharded fleet never share node identity or node
-    randomness.
+    randomness.  ``obs`` is handed to the gateway, which registers its
+    metrics when it is built.
     """
     prefix = f"{config.region}/" if config.region else ""
     base = experiment_seed(config)
@@ -243,6 +274,10 @@ def build_cluster(
             f"{prefix}node-{i}",
             make_strategy(config.strategy),
             profiles,
+            platform=(
+                _HETEROGENEOUS_PLATFORMS[i % len(_HETEROGENEOUS_PLATFORMS)]
+                if config.heterogeneous else REFERENCE_PLATFORM
+            ),
             seed=base + i,
         )
         for i in range(config.nodes)
@@ -256,7 +291,9 @@ def build_cluster(
                 rate_per_second=config.rate_limit,
                 burst=config.burst,
                 max_queue_seconds=config.max_queue_seconds,
+                micro_batching=config.micro_batching,
             ),
+            obs=obs,
         )
         cluster.attach_gateway(gateway)
     return cluster
@@ -287,6 +324,41 @@ def make_provisioner_factory(
     return factory
 
 
+def build_experiment(
+    config: RunConfig,
+    profiles: Dict[str, GameProfile],
+    *,
+    plan: Optional[FaultPlan] = None,
+    arrivals: Optional[object] = None,
+    obs: Optional[Observer] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> FleetExperiment:
+    """The config's whole run, assembled and ready to ``run()``.
+
+    Builds the cluster, the capacity plane the config implies and the
+    experiment over them, with the config's horizon, arrival rate,
+    region-namespaced seed and detection interval.  ``arrivals``
+    overrides the Poisson stream; ``obs`` and ``trace`` are the
+    nullable observer and recorder handles.
+    """
+    catalog = build_catalog()
+    cluster = build_cluster(config, profiles, obs=obs)
+    factory = make_provisioner_factory(config, profiles)
+    return FleetExperiment(
+        cluster,
+        [catalog[g] for g in config.games],
+        horizon=config.horizon,
+        rate_per_minute=config.rate_per_minute,
+        seed=experiment_seed(config),
+        detect_interval=config.detect_interval,
+        fault_plan=plan,
+        provisioner=factory(cluster) if factory is not None else None,
+        obs=obs,
+        arrivals=arrivals,
+        trace=trace,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Record / replay
 # ---------------------------------------------------------------------------
@@ -309,26 +381,14 @@ def record_run(
     """
     if plan is not None and config.fault_seed != plan.seed:
         config = replace(config, fault_seed=plan.seed)
-    catalog = build_catalog()
     if profiles is None:
-        profiles = build_profiles(config, catalog)
-    cluster = build_cluster(config, profiles)
-    factory = make_provisioner_factory(config, profiles)
+        profiles = build_profiles(config)
     recorder = TraceRecorder(
         seed=experiment_seed(config), config=config.to_dict(),
         scenario=scenario,
     )
-    result = FleetExperiment(
-        cluster,
-        [catalog[g] for g in config.games],
-        horizon=config.horizon,
-        rate_per_minute=config.rate_per_minute,
-        seed=experiment_seed(config),
-        detect_interval=config.detect_interval,
-        fault_plan=plan,
-        provisioner=factory(cluster) if factory is not None else None,
-        arrivals=arrivals,
-        trace=recorder,
+    result = build_experiment(
+        config, profiles, plan=plan, arrivals=arrivals, trace=recorder
     ).run()
     return result, recorder
 

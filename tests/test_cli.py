@@ -105,6 +105,38 @@ class TestBoundaryValidation:
             "cocg fleet: error: argument --rate: invalid float value: 'fast'"
         ]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "contra", "--queue-capacity", "0"],
+         "queue_capacity must be >= 1, got 0"),
+        (["fleet", "contra", "--players", "0"], "players must be >= 1, got 0"),
+        (["chaos", "contra", "--warm-pool", "-1"],
+         "warm_pool must be >= 0, got -1"),
+        (["obs", "contra", "--sessions", "0"], "sessions must be >= 1, got 0"),
+        (["record", "contra", "--burst", "0"], "burst must be >= 1, got 0"),
+        (["serve", "contra", "--rate-limit", "nan"],
+         "rate_limit must be > 0, got nan"),
+    ])
+    def test_bad_run_config_is_one_line_before_running(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before profiling starts
+        assert captured.err.splitlines() == [
+            f"cocg {argv[0]}: error: {message}"
+        ]
+
+    @pytest.mark.parametrize("command", [
+        "fleet", "serve", "chaos", "obs", "record", "colocate", "profile",
+    ])
+    def test_unknown_game_exits_2_everywhere(self, capsys, command):
+        assert main([command, "tetris"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"cocg {command}: error: unknown game(s) ")
+        assert "tetris" in line
+
     def test_positive_values_parse(self):
         args = build_parser().parse_args(
             ["fleet", "contra", "--nodes", "1", "--horizon", "1",
@@ -134,9 +166,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "accuracy" in out
 
-    def test_profile_unknown_game(self):
-        with pytest.raises(SystemExit, match="unknown game"):
-            main(["profile", "tetris"])
+    def test_profile_unknown_game(self, capsys):
+        assert main(["profile", "tetris"]) == 2
+        assert "unknown game" in capsys.readouterr().err
 
     def test_colocate_uses_saved_profile(self, capsys, tmp_path):
         main([
@@ -153,9 +185,11 @@ class TestCommands:
         assert "loaded profile" in out
         assert "throughput" in out
 
-    def test_colocate_unknown_game(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown game"):
-            main(["colocate", "tetris", "--profiles-dir", str(tmp_path)])
+    def test_colocate_unknown_game(self, capsys, tmp_path):
+        assert main(
+            ["colocate", "tetris", "--profiles-dir", str(tmp_path)]
+        ) == 2
+        assert "unknown game" in capsys.readouterr().err
 
     def test_fleet_runs(self, capsys, tmp_path):
         main([
@@ -171,6 +205,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fleet of 2 nodes" in out
         assert "throughput" in out
+
+    def test_serve_end_to_end(self, capsys, tmp_path):
+        main([
+            "profile", "contra", "-o", str(tmp_path / "contra.profile.json"),
+            "--players", "2", "--sessions", "2",
+        ])
+        capsys.readouterr()
+        argv = [
+            "serve", "contra", "--nodes", "2", "--horizon", "300",
+            "--rate", "6", "--profiles-dir", str(tmp_path),
+        ]
+        digests = {}
+        for extra in ([], ["--no-batching"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            assert "gateway outcomes:   queued=" in out
+            assert ("micro-batching:" in out) == (not extra)
+            assert "rollout cache" not in out
+            (digest,) = [
+                line.split()[-1] for line in out.splitlines()
+                if line.startswith("telemetry digest:")
+            ]
+            digests[bool(extra)] = digest
+        # Same outcomes, more rollouts: batching never changes a verdict.
+        assert digests[False] == digests[True]
+        assert len(digests[False]) == 64
 
     def test_chaos_runs_with_custom_plan(self, capsys, tmp_path):
         main([

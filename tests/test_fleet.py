@@ -18,6 +18,8 @@ import json
 
 import pytest
 
+from dataclasses import replace
+
 from repro.cluster.experiment import FleetExperiment, default_arrivals
 from repro.fleet import (
     FleetOfFleets,
@@ -31,12 +33,19 @@ from repro.fleet import (
     ring_point,
     runtime_entry_points,
 )
+from repro.fleet import controller
 from repro.fleet.controller import ID_STRIDE
+from repro.platform_.profile import (
+    BIG_SERVER_PLATFORM,
+    REFERENCE_PLATFORM,
+    WEAK_GPU_PLATFORM,
+)
 from repro.serve.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen
 from repro.sim import ShardPlanError, run_partitioned
 from repro.trace.harness import (
     RunConfig,
     build_cluster,
+    build_experiment,
     build_profiles,
     experiment_seed,
 )
@@ -341,6 +350,26 @@ class TestFleetOfFleets:
         assert shards["r0"].config.nodes == 1
         assert shards["r1"].config.nodes == BASE.nodes
         assert shards["r0"].config.region == "r0"
+
+    def test_heterogeneous_regions_cycle_platforms(self, monkeypatch):
+        config = replace(BASE, nodes=4, heterogeneous=True)
+        profiles = build_profiles(config)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("pre-built profiles must be used")
+
+        monkeypatch.setattr(controller, "build_profiles", no_training)
+        shards = FleetOfFleets(
+            config, _regions(2), profiles=profiles
+        ).build_shards()
+        cycle = [REFERENCE_PLATFORM, WEAK_GPU_PLATFORM, BIG_SERVER_PLATFORM]
+        for name, shard in shards.items():
+            assert shard.profiles is profiles
+            nodes = build_experiment(shard.config, shard.profiles).cluster.nodes
+            assert [n.node_id for n in nodes] == [
+                f"{name}/node-{i}" for i in range(4)
+            ]
+            assert [n.platform for n in nodes] == [cycle[i % 3] for i in range(4)]
 
     def test_obs_counters_region_labeled(self):
         from repro.obs import Observer

@@ -166,6 +166,18 @@ class TestRunConfig:
         assert "policy" not in payload  # still default
         assert RunConfig.from_dict(payload) == config
 
+    def test_fleet_shape_fields_round_trip(self):
+        config = RunConfig(
+            games=("contra",), heterogeneous=True, micro_batching=False
+        )
+        assert config.to_dict() == {
+            "games": ["contra"], "heterogeneous": True,
+            "micro_batching": False,
+        }
+        assert RunConfig.from_dict(config.to_dict()) == config
+        plain = RunConfig.from_dict({"games": ["contra"]})
+        assert not plain.heterogeneous and plain.micro_batching
+
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="zzz"):
             RunConfig.from_dict({"games": ["contra"], "zzz": 1})
@@ -204,7 +216,9 @@ class TestRunConfig:
     def test_shipped_corpus_headers_load(self, name):
         corpus = Path(__file__).resolve().parents[1] / "corpus"
         document = TraceDocument.load(corpus / f"{name}.cgtrace")
-        RunConfig.from_dict(document.header.config)
+        config = RunConfig.from_dict(document.header.config)
+        # The header re-serializes unchanged, so its fingerprint holds.
+        assert config.to_dict() == document.header.config
 
 
 # ---------------------------------------------------------------------------
