@@ -55,6 +55,10 @@ exit-code contract:
   stderr line, checked before anything runs), an unreadable fault plan
   or trace, or a stale shard-plan certificate.
 
+When stdout is a pipe whose reader has gone away (``cocg … | head -1``),
+the report cannot be delivered: the command exits ``1`` quietly, with no
+``BrokenPipeError`` traceback.
+
 ``cocg fleet`` and ``cocg serve`` certify the shard-plan certificate
 (the packaged ``shardplan.json``, or ``--shard-plan PATH``) against the
 runtime's registered entry points before starting.
@@ -65,6 +69,7 @@ Run ``python -m repro.cli --help`` (or the installed ``cocg`` script).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, TypeVar
 
@@ -842,10 +847,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (exit codes: see the module docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _BadInput as exc:
         _err(f"cocg {args.command}: error: {exc}")
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``cocg … | head -1``): point stdout
+        # at devnull so the interpreter's shutdown flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

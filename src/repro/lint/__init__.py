@@ -37,9 +37,8 @@ Use it three ways:
 
 * ``python -m repro.lint src/`` or ``cocg lint`` from a shell/CI
   (exit code 1 when findings exist, ``--format json``/``sarif`` for
-  machines, ``--changed``/``--baseline`` to scope what fails a run,
-  and a content-hash incremental cache making warm runs re-analyze
-  only changed modules);
+  machines); every run is cold — it parses the whole tree, stores
+  nothing between runs, and subtracts no findings;
 * :func:`lint_paths` / :func:`lint_file` as a library;
 * ``# lint: disable=CGxxx`` pragmas to suppress a finding at a line
   (trailing comment) or for a whole file (standalone comment).
@@ -52,13 +51,6 @@ rules subclass :class:`~repro.lint.project.ProjectRule` and are
 decorated with :func:`~repro.lint.registry.register_project`.
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import LintCache, cache_signature, content_digest
 from repro.lint.dataflow import (
     CallGraph,
     Witness,
@@ -142,13 +134,6 @@ __all__ = [
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "LintCache",
-    "cache_signature",
-    "content_digest",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "render_text",
     "render_json",
     "render_sarif",

@@ -4,36 +4,33 @@ Also backs the ``cocg lint`` subcommand: :func:`configure_parser`
 installs the shared flags on any :class:`argparse.ArgumentParser` (or
 subparser) and :func:`run_from_args` executes the parsed namespace.
 
+Every run is cold: it parses the whole tree and derives both phases
+from scratch, and stores nothing between runs.
+
 Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage error
-(unknown rule id, nonexistent path, malformed baseline, or git failure
-under ``--changed``).
+(unknown rule id or nonexistent path).  When stdout is a pipe whose
+reader has gone away (``… | head -1``), the run exits ``1`` quietly
+instead of dying with a ``BrokenPipeError`` traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import LintCache, cache_signature
 from repro.lint.engine import lint_paths
 from repro.lint.registry import (
     UnknownRuleError,
     all_project_rules,
     all_rules,
     explain_rule,
-    resolve_project_rules,
-    resolve_rules,
 )
 from repro.lint.reporters import render_json, render_sarif, render_text
 
 __all__ = ["configure_parser", "build_parser", "run_from_args", "main"]
-
-#: Default on-disk location of the incremental cache.
-DEFAULT_CACHE = ".lint_cache.json"
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -55,32 +52,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--changed", action="store_true",
-        help="report findings only for files git sees as changed "
-             "(the analysis still covers the full tree for "
-             "cross-module context)",
-    )
-    parser.add_argument(
         "--sarif", metavar="PATH", type=Path,
         help="additionally write a SARIF 2.1.0 log to PATH",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", type=Path,
-        help="subtract findings recorded in this baseline file; "
-             "only new findings fail the run",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the --baseline file from the current findings "
-             "and exit 0",
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", type=Path, default=Path(DEFAULT_CACHE),
-        help=f"incremental cache location (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache for this run",
     )
     parser.add_argument(
         "--no-project", action="store_true",
@@ -135,24 +108,6 @@ def _default_paths() -> List[str]:
     return ["src"] if Path("src").is_dir() else ["."]
 
 
-def _git_changed_files() -> List[str]:
-    """Python files git reports as modified/staged/untracked, relative
-    to the current directory."""
-    commands = (
-        ["git", "diff", "--name-only", "--relative", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    seen: set = set()
-    for cmd in commands:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            detail = proc.stderr.strip() or f"exit {proc.returncode}"
-            raise RuntimeError(f"--changed: `{' '.join(cmd)}` failed: {detail}")
-        seen.update(line.strip() for line in proc.stdout.splitlines()
-                    if line.strip().endswith(".py"))
-    return sorted(seen)
-
-
 def _print_rules() -> None:
     for title, registry in (("per-file rules", all_rules()),
                             ("whole-program rules", all_project_rules())):
@@ -173,49 +128,19 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
-    if args.update_baseline and args.baseline is None:
-        print("error: --update-baseline requires --baseline PATH",
-              file=sys.stderr)
-        return 2
     paths = args.paths or _default_paths()
     try:
         select = _split_rule_list(args.select)
         ignore = _split_rule_list(args.ignore)
-        # Resolve eagerly so unknown rule ids fail before any analysis,
-        # and so the cache signature reflects the exact selection.
-        rule_ids = [cls.rule_id for cls in resolve_rules(select, ignore)]
-        project_ids = ([] if args.no_project else
-                       [cls.rule_id
-                        for cls in resolve_project_rules(select, ignore)])
-        only_paths = _git_changed_files() if args.changed else None
-        cache = None
-        if not args.no_cache:
-            cache = LintCache.load(
-                args.cache, cache_signature(rule_ids, project_ids),
-            )
         result = lint_paths(
             paths,
             select=select,
             ignore=ignore,
             whole_program=not args.no_project,
-            cache=cache,
-            only_paths=only_paths,
             effects=args.effects_out is not None,
             shard_plan=args.shard_plan_out is not None,
         )
-        if cache is not None:
-            cache.save()
-        if args.baseline is not None:
-            if args.update_baseline:
-                n = write_baseline(args.baseline, result.findings)
-                print(f"baseline: recorded {n} finding(s) "
-                      f"to {args.baseline}")
-                return 0
-            result.findings = apply_baseline(
-                result.findings, load_baseline(args.baseline),
-            )
-    except (UnknownRuleError, FileNotFoundError,
-            RuntimeError, ValueError) as exc:
+    except (UnknownRuleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.effects_out is not None and result.effects is not None:
@@ -235,7 +160,16 @@ def run_from_args(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro.lint``."""
-    return run_from_args(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    try:
+        code = run_from_args(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``… | head -1``): point stdout at
+        # devnull so the interpreter's shutdown flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,8 +17,7 @@ Two queries serve the CG010–CG012 rules:
   function (an RNG draw or wall-clock read), with a witness chain so
   the finding can print the actual call path.
 
-Both run one BFS over the reversed graph — linear in edges, cheap even
-on warm incremental runs where every module summary comes from cache.
+Both run one BFS over the reversed graph — linear in edges.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ On top of the inferred signatures sit four rules:
 :func:`render_effects` exports every non-pure or declared function's
 signature as a sorted, deterministic JSON artifact (``effects.json`` in
 CI) keyed by ``module::qualname`` — no absolute paths, so the bytes are
-stable across machines and across cold/warm cache runs.
+stable across machines and across runs in separate processes.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def render_effects(project: ProjectContext,
 
     Lists every function whose inferred signature is non-empty or that
     carries an ``@effects`` declaration, keyed ``module::qualname``.
-    Module names only — no absolute paths — so a double run and a
-    cold-vs-warm-cache pair produce byte-identical output.
+    Module names only — no absolute paths — so two runs, in one process
+    or in two with different hash seeds, produce byte-identical output.
     """
     inference = inference if inference is not None else infer_effects(project)
     functions: Dict[str, dict] = {}

@@ -7,19 +7,14 @@
    :class:`~repro.lint.registry.FileContext` (including the pragma
    table), and run every applicable CG001–CG009 rule.  Each parsed
    module is also distilled into a
-   :class:`~repro.lint.project.ModuleSummary` for phase two.  With an
-   incremental :class:`~repro.lint.cache.LintCache`, files whose
-   content hash is unchanged skip this phase entirely — findings and
-   summary come from the cache, and only changed files are re-parsed
-   (:attr:`LintResult.files_reparsed` counts them).
+   :class:`~repro.lint.project.ModuleSummary` for phase two.
 
 2. **Whole-program** — the summaries form a
    :class:`~repro.lint.project.ProjectContext` over which the
-   CG010–CG013 rules run taint/reachability queries.  This phase is
-   cheap graph work and is recomputed every run, cached summaries
-   included: a changed module can shift reachability for *unchanged*
-   reverse dependencies, so their project findings must never be
-   replayed from cache.
+   CG010–CG013 rules run taint/reachability queries.
+
+Nothing is stored between runs: every run parses every file and derives
+both phases from scratch, so a run is a pure function of the tree.
 
 Rules scope themselves on the file's path *relative to the package
 root*; :func:`_rel_parts` recovers that for installed trees
@@ -33,9 +28,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Set, Tuple, Type
+from typing import Iterable, Optional, Sequence, Tuple, Type
 
-from repro.lint.cache import CacheEntry, LintCache, content_digest, project_key
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Suppressions, parse_suppressions
 from repro.lint.project import (
@@ -73,19 +67,12 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: Files actually parsed this run — equal to :attr:`files_checked`
-    #: on a cold run, and only the changed files on a warm cached run
-    #: (the whole-program phase reuses cached summaries for the rest).
-    files_reparsed: int = 0
     #: The ``effects.json`` artifact text (sorted, deterministic) when
     #: the run was asked for it (``lint_paths(..., effects=True)``).
     effects: Optional[str] = None
     #: The ``shardplan.json`` certificate text when the run was asked
     #: for it (``lint_paths(..., shard_plan=True)``).
     shard_plan: Optional[str] = None
-    #: True when :attr:`shard_plan` was served from the incremental
-    #: cache's project-phase memo instead of being re-derived.
-    shard_plan_from_cache: bool = False
 
     @property
     def ok(self) -> bool:
@@ -176,7 +163,6 @@ def _analyze_file(
     *,
     root: Path,
     rules: Iterable[Type[Rule]],
-    source: Optional[str] = None,
 ) -> Tuple[list[Finding], Optional[ModuleSummary]]:
     """Parse one file, run the per-file rules, and summarise it.
 
@@ -187,8 +173,7 @@ def _analyze_file(
     display = str(file)
     rel = _rel_parts(file, root)
     try:
-        if source is None:
-            source = file.read_text(encoding="utf-8")
+        source = file.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=display)
     except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
         line = getattr(exc, "lineno", None) or 1
@@ -231,8 +216,6 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     whole_program: bool = True,
-    cache: Optional[LintCache] = None,
-    only_paths: Optional[Iterable[object]] = None,
     effects: bool = False,
     shard_plan: bool = False,
 ) -> LintResult:
@@ -250,15 +233,6 @@ def lint_paths(
     whole_program:
         Run the CG010–CG013 project phase (default).  Per-file-only
         mode exists for fixtures that are not meaningful as a project.
-    cache:
-        A loaded :class:`~repro.lint.cache.LintCache`.  The engine
-        consults and updates it; the caller owns
-        :meth:`~repro.lint.cache.LintCache.save`.
-    only_paths:
-        When given, *reported* findings are filtered to these files —
-        the analysis itself still covers every path in ``paths`` so the
-        whole-program phase sees full cross-module context (this backs
-        ``cocg lint --changed``).
     effects:
         Additionally render the inferred effect signatures
         (:func:`repro.lint.effects.render_effects`) into
@@ -269,10 +243,6 @@ def lint_paths(
         Additionally render the shard-interference certificate
         (:func:`repro.lint.shards.render_shard_plan`) into
         :attr:`LintResult.shard_plan` (backs ``--shard-plan-out``).
-        With a cache, the certificate is memoised keyed on the summary
-        content hashes: a warm run with no changed files serves the
-        byte-identical text without re-deriving the call graph
-        (:attr:`LintResult.shard_plan_from_cache`).
     """
     select = list(select) if select is not None else None
     ignore = list(ignore) if ignore is not None else None
@@ -280,40 +250,12 @@ def lint_paths(
     project_rules = resolve_project_rules(select, ignore) if whole_program else []
     result = LintResult()
     summaries: dict[str, ModuleSummary] = {}
-    digests: dict[str, str] = {}
-    live_keys: list[str] = []
-    keep: Optional[Set[str]] = None
-    if only_paths is not None:
-        keep = {str(Path(p).resolve()) for p in only_paths}
-    resolved_of: dict[str, str] = {}
 
     for file, root in iter_python_files([Path(p) for p in paths]):
         result.files_checked += 1
-        key = str(file.resolve())
-        live_keys.append(key)
-        data = file.read_bytes()
-        digest = content_digest(data)
-        entry = cache.get(key, digest) if cache is not None else None
-        if entry is None:
-            try:
-                source: Optional[str] = data.decode("utf-8")
-            except UnicodeDecodeError:
-                source = None  # _analyze_file re-reads and reports CG000
-            findings, summary = _analyze_file(
-                file, root=root, rules=rules, source=source,
-            )
-            result.files_reparsed += 1
-            if cache is not None:
-                cache.put(key, CacheEntry(
-                    digest=digest, findings=findings, summary=summary,
-                ))
-        else:
-            findings, summary = entry.findings, entry.summary
-        resolved_of[str(file)] = key
+        findings, summary = _analyze_file(file, root=root, rules=rules)
         if summary is not None:
-            resolved_of[summary.path] = key
             summaries[summary.module] = summary
-            digests[summary.module] = digest
         result.findings.extend(findings)
 
     if (project_rules or effects or shard_plan) and summaries:
@@ -325,24 +267,7 @@ def lint_paths(
         if effects:
             result.effects = _effects.render_effects(project)
         if shard_plan:
-            memo_key = project_key(digests)
-            cached = (cache.get_project(memo_key)
-                      if cache is not None else None)
-            if cached is not None:
-                result.shard_plan = cached
-                result.shard_plan_from_cache = True
-            else:
-                result.shard_plan = _shards.render_shard_plan(project)
-                if cache is not None:
-                    cache.put_project(memo_key, result.shard_plan)
+            result.shard_plan = _shards.render_shard_plan(project)
 
-    if cache is not None:
-        cache.prune(live_keys)
-
-    if keep is not None:
-        result.findings = [
-            f for f in result.findings
-            if resolved_of.get(f.path, str(Path(f.path).resolve())) in keep
-        ]
     result.findings.sort()
     return result

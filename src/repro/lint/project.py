@@ -11,10 +11,7 @@ two steps:
    imports, top-level definitions, a conservative per-function call
    list, and the *determinism facts* the CG010–CG013 rules consume
    (global-RNG draws, wall-clock reads, unordered-collection
-   iterations, event dataclasses, digest definitions).  Summaries are
-   plain data (:meth:`ModuleSummary.to_dict` round-trips through JSON)
-   so the incremental cache can persist them and warm runs skip
-   re-parsing unchanged files entirely.
+   iterations, event dataclasses, digest definitions).
 
 2. A :class:`ProjectContext` aggregates every summary into the module
    graph and a project-wide function index, over which
@@ -140,16 +137,6 @@ class CallSite:
     line: int
     on_self: bool = False
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"name": self.name, "line": self.line, "on_self": self.on_self}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=d["name"], line=int(d["line"]),
-                   on_self=bool(d.get("on_self", False)))
-
 
 @dataclass(frozen=True)
 class TaintSite:
@@ -158,15 +145,6 @@ class TaintSite:
     line: int
     col: int
     desc: str
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col, "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaintSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]), desc=d["desc"])
 
 
 @dataclass(frozen=True)
@@ -193,20 +171,6 @@ class EmitSite:
     ref: Optional[str] = None
     explicit: bool = False
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col, "desc": self.desc,
-                "priority": self.priority, "ref": self.ref,
-                "explicit": self.explicit}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmitSite":
-        """Inverse of :meth:`to_dict`."""
-        priority = d.get("priority", 0)
-        return cls(line=int(d["line"]), col=int(d["col"]), desc=d["desc"],
-                   priority=int(priority) if priority is not None else None,
-                   ref=d.get("ref"), explicit=bool(d.get("explicit", False)))
-
 
 @dataclass(frozen=True)
 class SeedSite:
@@ -222,17 +186,6 @@ class SeedSite:
     col: int
     namespace: Optional[str]
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col,
-                "namespace": self.namespace}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeedSite":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]),
-                   namespace=d.get("namespace"))
-
 
 @dataclass(frozen=True)
 class UnorderedLoop:
@@ -243,17 +196,6 @@ class UnorderedLoop:
     kind: str  # "set" | "dict"
     desc: str
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"line": self.line, "col": self.col,
-                "kind": self.kind, "desc": self.desc}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnorderedLoop":
-        """Inverse of :meth:`to_dict`."""
-        return cls(line=int(d["line"]), col=int(d["col"]),
-                   kind=d["kind"], desc=d["desc"])
-
 
 @dataclass(frozen=True)
 class EventClass:
@@ -261,15 +203,6 @@ class EventClass:
 
     name: str
     line: int
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {"name": self.name, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EventClass":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=d["name"], line=int(d["line"]))
 
 
 @dataclass
@@ -311,60 +244,6 @@ class FunctionSummary:
     #: ``@shard_merge_point`` decoration, statically read.
     shard_merge: bool = False
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable view."""
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "calls": [c.to_dict() for c in self.calls],
-            "rng_draws": [t.to_dict() for t in self.rng_draws],
-            "stream_draws": [t.to_dict() for t in self.stream_draws],
-            "clock_reads": [t.to_dict() for t in self.clock_reads],
-            "unordered_loops": [u.to_dict() for u in self.unordered_loops],
-            "global_writes": [t.to_dict() for t in self.global_writes],
-            "engine_emits": [t.to_dict() for t in self.engine_emits],
-            "digest_writes": [t.to_dict() for t in self.digest_writes],
-            "io_sites": [t.to_dict() for t in self.io_sites],
-            "seed_derivations": [s.to_dict() for s in self.seed_derivations],
-            "raw_seed_sites": [t.to_dict() for t in self.raw_seed_sites],
-            "declared_effects": self.declared_effects,
-            "hot_path": self.hot_path,
-            "shard_entry": self.shard_entry,
-            "shard_merge": self.shard_merge,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            qualname=d["qualname"],
-            line=int(d["line"]),
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            rng_draws=[TaintSite.from_dict(t) for t in d["rng_draws"]],
-            stream_draws=[TaintSite.from_dict(t)
-                          for t in d.get("stream_draws", [])],
-            clock_reads=[TaintSite.from_dict(t) for t in d["clock_reads"]],
-            unordered_loops=[UnorderedLoop.from_dict(u)
-                             for u in d["unordered_loops"]],
-            global_writes=[TaintSite.from_dict(t)
-                           for t in d.get("global_writes", [])],
-            engine_emits=[EmitSite.from_dict(t)
-                          for t in d.get("engine_emits", [])],
-            digest_writes=[TaintSite.from_dict(t)
-                           for t in d.get("digest_writes", [])],
-            io_sites=[TaintSite.from_dict(t) for t in d.get("io_sites", [])],
-            seed_derivations=[SeedSite.from_dict(s)
-                              for s in d.get("seed_derivations", [])],
-            raw_seed_sites=[TaintSite.from_dict(t)
-                            for t in d.get("raw_seed_sites", [])],
-            declared_effects=(list(d["declared_effects"])
-                              if d.get("declared_effects") is not None
-                              else None),
-            hot_path=bool(d.get("hot_path", False)),
-            shard_entry=d.get("shard_entry"),
-            shard_merge=bool(d.get("shard_merge", False)),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -393,56 +272,6 @@ class ModuleSummary:
     def package(self) -> str:
         """Top-level subpackage the module lives in (``""`` at root)."""
         return self.rel_parts[0] if len(self.rel_parts) > 1 else ""
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view (for the incremental cache)."""
-        return {
-            "module": self.module,
-            "path": self.path,
-            "rel_parts": list(self.rel_parts),
-            "functions": {q: f.to_dict() for q, f in self.functions.items()},
-            "imported_modules": sorted(self.imported_modules),
-            "import_lines": {m: self.import_lines[m]
-                             for m in sorted(self.import_lines)},
-            "type_only_imports": sorted(self.type_only_imports),
-            "event_classes": [e.to_dict() for e in self.event_classes],
-            "event_constructions": sorted(self.event_constructions),
-            "defines_digest": self.defines_digest,
-            "int_constants": {k: self.int_constants[k]
-                              for k in sorted(self.int_constants)},
-            "suppressions": {
-                "file_level": sorted(self.suppressions.file_level),
-                "by_line": {str(k): sorted(v)
-                            for k, v in self.suppressions.by_line.items()},
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleSummary":
-        """Inverse of :meth:`to_dict`."""
-        sup = Suppressions(
-            file_level=set(d["suppressions"]["file_level"]),
-            by_line={int(k): set(v)
-                     for k, v in d["suppressions"]["by_line"].items()},
-        )
-        return cls(
-            module=d["module"],
-            path=d["path"],
-            rel_parts=tuple(d["rel_parts"]),
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in d["functions"].items()},
-            imported_modules=set(d["imported_modules"]),
-            import_lines={m: int(line)
-                          for m, line in d.get("import_lines", {}).items()},
-            type_only_imports=set(d.get("type_only_imports", [])),
-            event_classes=[EventClass.from_dict(e)
-                           for e in d["event_classes"]],
-            event_constructions=set(d["event_constructions"]),
-            defines_digest=bool(d["defines_digest"]),
-            int_constants={k: int(v)
-                           for k, v in d.get("int_constants", {}).items()},
-            suppressions=sup,
-        )
 
 
 def _dotted(node: ast.AST) -> Optional[str]:

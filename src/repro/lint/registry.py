@@ -33,8 +33,9 @@ __all__ = [
     "ANALYZER_VERSION",
 ]
 
-#: Bumped whenever a rule's behaviour changes; part of the incremental
-#: cache signature so stale findings never survive a rule upgrade.
+#: Bumped whenever a rule's behaviour or the module-summary facts
+#: change; ``effects.json`` and ``shardplan.json`` stamp it, so an
+#: artifact derived by an older analyzer is told apart from a fresh one.
 #: v4: module summaries grew the effect-system facts (global/engine/
 #: digest/io seeds, stream draws, @effects declarations, import lines).
 #: v5: shard-certification facts (emit priorities, derive_seed

@@ -281,12 +281,12 @@ def render_shard_plan(project: ProjectContext,
     """The ``shardplan.json`` certificate text (sorted, byte-stable).
 
     Keys are ``module::qualname`` / dotted module names only — no
-    absolute paths — so a double run, a cold-vs-warm cache pair, and
-    two machines all produce identical bytes.  The certificate names
-    every entry point with its group, classifies each reachable
-    function, derives the worst class per module, lists the
-    partition-safe module set, and records every blocking write with
-    its witness chains.
+    absolute paths — so two runs (in one process, or in two with
+    different hash seeds) and two machines all produce identical
+    bytes.  The certificate names every entry point with its group,
+    classifies each reachable function, derives the worst class per
+    module, lists the partition-safe module set, and records every
+    blocking write with its witness chains.
     """
     analysis = analysis if analysis is not None else shard_analysis(project)
     functions: Dict[str, dict] = {}

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -400,3 +404,28 @@ class TestTraceCommands:
         ])
         assert code == 2
         assert "nonsuch" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """A reader that goes away (``cocg … | head -1``) ends the command
+    with exit 1 and a quiet stderr, not a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["repro.cli", "catalog"],
+        ["repro.cli", "lint", "--list-rules"],
+        ["repro.lint", "--list-rules"],
+    ])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", *argv], stdout=w,
+                stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr

@@ -607,8 +607,7 @@ class TestEffectsArtifact:
                 """,
         })
         out = tmp_path / "effects.json"
-        code = lint_main([str(tree), "--no-cache",
-                          "--effects-out", str(out)])
+        code = lint_main([str(tree), "--effects-out", str(out)])
         capsys.readouterr()
         assert code == 0
         payload = json.loads(out.read_text())

@@ -1,23 +1,16 @@
-"""Tests for the whole-program phase: CG010–CG013, the incremental
-cache, the SARIF/baseline reporters, and the git-scoped CLI flags."""
+"""Tests for the whole-program phase: CG010–CG013 and the SARIF
+reporter."""
 
 import json
-import subprocess
 import textwrap
 
 import pytest
 
 from repro.lint import (
-    LintCache,
     all_project_rules,
-    apply_baseline,
-    cache_signature,
-    fingerprint,
     lint_paths,
-    load_baseline,
     render_sarif,
     resolve_project_rules,
-    write_baseline,
 )
 from repro.lint.__main__ import main as lint_main
 from repro.lint.registry import UnknownRuleError
@@ -367,9 +360,10 @@ class TestProjectRegistry:
 
 
 # ----------------------------------------------------------------------
-# Incremental cache
+# SARIF reporter
 # ----------------------------------------------------------------------
 
+#: A CG011 laundering chain: serve/ -> util.jitter -> util.noise.
 FIXTURE = {
     "serve/admit.py": """\
         from util.jitter import wobble
@@ -392,82 +386,6 @@ FIXTURE = {
 }
 
 
-class TestIncrementalCache:
-    def _signature(self):
-        return cache_signature(["CG001"], ["CG011"])
-
-    def _lint(self, tree, cache):
-        return lint_paths([tree], select=["CG011"], cache=cache)
-
-    def test_warm_run_reparses_nothing_and_agrees(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        cache_file = tmp_path / "cache.json"
-        cold_cache = LintCache.load(cache_file, self._signature())
-        cold = self._lint(tree, cold_cache)
-        cold_cache.save()
-        assert cold.files_reparsed == cold.files_checked == 3
-        assert rule_ids(cold) == ["CG011"]
-
-        warm_cache = LintCache.load(cache_file, self._signature())
-        warm = self._lint(tree, warm_cache)
-        assert warm.files_reparsed == 0
-        assert rule_ids(warm) == rule_ids(cold)
-        assert [f.line for f in warm.findings] == [f.line for f in cold.findings]
-
-    def test_touched_file_alone_is_reanalyzed(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        cache_file = tmp_path / "cache.json"
-        cache = LintCache.load(cache_file, self._signature())
-        self._lint(tree, cache)
-        cache.save()
-
-        # Fixing the laundered draw changes one file; the warm run must
-        # re-parse only it, yet the *project* findings still update.
-        (tree / "util" / "noise.py").write_text(textwrap.dedent("""\
-            def sample():
-                return 0.5
-            """))
-        warm_cache = LintCache.load(cache_file, self._signature())
-        warm = self._lint(tree, warm_cache)
-        assert warm.files_reparsed == 1
-        assert warm.ok
-
-    def test_signature_mismatch_invalidates_everything(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        cache_file = tmp_path / "cache.json"
-        cache = LintCache.load(cache_file, self._signature())
-        self._lint(tree, cache)
-        cache.save()
-
-        other = LintCache.load(cache_file, cache_signature(["CG001"], []))
-        assert other.entries == {}
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text("{not json")
-        cache = LintCache.load(cache_file, self._signature())
-        result = self._lint(tree, cache)
-        assert result.files_reparsed == 3
-
-    def test_deleted_file_is_pruned(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        cache_file = tmp_path / "cache.json"
-        cache = LintCache.load(cache_file, self._signature())
-        self._lint(tree, cache)
-        cache.save()
-        (tree / "util" / "noise.py").unlink()
-        warm = LintCache.load(cache_file, self._signature())
-        self._lint(tree, warm)
-        warm.save()
-        keys = json.loads(cache_file.read_text())["entries"].keys()
-        assert not any(k.endswith("noise.py") for k in keys)
-
-
-# ----------------------------------------------------------------------
-# SARIF reporter
-# ----------------------------------------------------------------------
-
 class TestSarif:
     def test_sarif_log_shape(self, tmp_path):
         tree = write_tree(tmp_path, FIXTURE)
@@ -486,7 +404,7 @@ class TestSarif:
         tree = write_tree(tmp_path / "t", FIXTURE)
         out = tmp_path / "lint.sarif"
         code = lint_main([str(tree), "--select", "CG011",
-                          "--no-cache", "--sarif", str(out)])
+                          "--sarif", str(out)])
         capsys.readouterr()
         assert code == 1
         log = json.loads(out.read_text())
@@ -494,146 +412,6 @@ class TestSarif:
 
     def test_cli_format_sarif_stdout(self, tmp_path, capsys):
         tree = write_tree(tmp_path / "t", FIXTURE)
-        lint_main([str(tree), "--select", "CG011", "--no-cache",
-                   "--format", "sarif"])
+        lint_main([str(tree), "--select", "CG011", "--format", "sarif"])
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
-
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    def test_baseline_roundtrip_subtracts_known_findings(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        result = lint_paths([tree], select=["CG011"])
-        assert not result.ok
-        baseline_file = tmp_path / "baseline.json"
-        n = write_baseline(baseline_file, result.findings)
-        assert n == 1
-        baseline = load_baseline(baseline_file)
-        assert apply_baseline(result.findings, baseline) == []
-
-    def test_new_finding_survives_baseline(self, tmp_path):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        result = lint_paths([tree], select=["CG011"])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, result.findings)
-
-        (tree / "serve" / "direct.py").write_text(textwrap.dedent("""\
-            import random
-
-            def pick():
-                return random.random()
-            """))
-        again = lint_paths([tree], select=["CG011"])
-        new = apply_baseline(again.findings, load_baseline(baseline_file))
-        assert [f.rule_id for f in new] == ["CG011"]
-        assert new[0].path.endswith("direct.py")
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        tree = write_tree(tmp_path / "t", dict(FIXTURE))
-        before = lint_paths([tree], select=["CG011"]).findings
-        noise = tree / "util" / "noise.py"
-        noise.write_text("# a leading comment\n\n" + noise.read_text())
-        admit = tree / "serve" / "admit.py"
-        admit.write_text("# shifted\n" + admit.read_text())
-        after = lint_paths([tree], select=["CG011"]).findings
-        assert [f.line for f in before] != [f.line for f in after]
-        assert [fingerprint(f) for f in before] == [fingerprint(f) for f in after]
-
-    def test_cli_baseline_flow(self, tmp_path, capsys):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        baseline_file = tmp_path / "baseline.json"
-        args = [str(tree), "--select", "CG011", "--no-cache",
-                "--baseline", str(baseline_file)]
-        assert lint_main(args + ["--update-baseline"]) == 0
-        assert lint_main(args) == 0  # old finding is baselined
-        assert lint_main([str(tree), "--select", "CG011", "--no-cache",
-                          "--update-baseline"]) == 2  # needs --baseline
-        capsys.readouterr()
-
-    def test_malformed_baseline_fails_loudly(self, tmp_path, capsys):
-        tree = write_tree(tmp_path / "t", FIXTURE)
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"findings": "nope"}')
-        assert lint_main([str(tree), "--no-cache",
-                          "--baseline", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# --changed (git-diff-scoped reporting)
-# ----------------------------------------------------------------------
-
-def _git(cwd, *argv):
-    subprocess.run(
-        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
-        cwd=cwd, check=True, capture_output=True,
-    )
-
-
-class TestChangedFlag:
-    def test_only_changed_files_are_reported(self, tmp_path, monkeypatch,
-                                             capsys):
-        tree = write_tree(tmp_path, {
-            "pkg/serve/old.py": """\
-                import random
-
-                def try_admit(x):
-                    return random.random()
-                """,
-            "pkg/serve/fresh.py": """\
-                def try_admit(x):
-                    return x
-                """,
-        })
-        _git(tree, "init", "-q")
-        _git(tree, "add", ".")
-        _git(tree, "commit", "-qm", "seed")
-        # Introduce a violation in one file only; the committed one
-        # keeps its (old) violation but must not be reported.
-        (tree / "pkg" / "serve" / "fresh.py").write_text(textwrap.dedent("""\
-            import random
-
-            def try_admit(x):
-                return random.random()
-            """))
-        monkeypatch.chdir(tree)
-        assert lint_main(["pkg", "--select", "CG011", "--no-cache",
-                          "--changed", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        paths = {f["path"] for f in payload["findings"]}
-        assert all(p.endswith("fresh.py") for p in paths)
-        assert payload["count"] >= 1
-
-    def test_untracked_files_count_as_changed(self, tmp_path, monkeypatch,
-                                              capsys):
-        tree = write_tree(tmp_path, {
-            "pkg/serve/ok.py": "def try_admit(x):\n    return x\n",
-        })
-        _git(tree, "init", "-q")
-        _git(tree, "add", ".")
-        _git(tree, "commit", "-qm", "seed")
-        write_tree(tree, {
-            "pkg/serve/new.py": """\
-                import random
-
-                def try_admit(x):
-                    return random.random()
-                """,
-        })
-        monkeypatch.chdir(tree)
-        assert lint_main(["pkg", "--select", "CG011", "--no-cache",
-                          "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "new.py" in out
-
-    def test_changed_outside_git_is_usage_error(self, tmp_path, monkeypatch,
-                                                capsys):
-        tree = write_tree(tmp_path, {"pkg/mod.py": "x = 1\n"})
-        monkeypatch.chdir(tree)
-        monkeypatch.setenv("GIT_DIR", str(tree / "definitely-no-git"))
-        assert lint_main(["pkg", "--no-cache", "--changed"]) == 2
-        assert "error:" in capsys.readouterr().err

@@ -750,6 +750,20 @@ class TestCLI:
         assert cocg_main(["lint", str(tmp_path), "--format", "json"]) == 1
         capsys.readouterr()
 
+    def test_lint_writes_nothing_to_the_working_directory(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main as cocg_main
+
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "mod.py").write_text("def f(xs=[]):\n    return xs\n")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cocg_main(["lint", str(tree)]) == 1
+        assert lint_main([str(tree)]) == 1
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestShippedTree:
     def test_src_tree_is_clean(self):

@@ -772,7 +772,7 @@ class TestCLI:
             """,
         })
         out = tmp_path / "shardplan.json"
-        code = lint_main([str(tree), "--no-cache", "--select", "CG019",
+        code = lint_main([str(tree), "--select", "CG019",
                           "--shard-plan-out", str(out)])
         capsys.readouterr()
         assert code == 0
