@@ -6,16 +6,14 @@ Runs Poisson arrivals over a three-node fleet fronted by an
 :class:`repro.serve.AdmissionGateway`: requests queue per game category
 under a token-bucket rate limit, overload is shed explicitly, dispatch
 shares one Algorithm-1 evaluation pass per node per round
-(micro-batching) and predictor rollouts are memoized in a
-:class:`repro.serve.RolloutCache`.  The run then repeats with batching
-and caching off; admission outcomes must be identical — the serve layer
-changes the *cost* of admission, never its verdicts.
+(micro-batching).  The run then repeats with batching off; admission
+outcomes must be identical — the serve layer changes the *cost* of
+admission, never its verdicts.
 
 With ``--check-determinism`` the gateway run executes twice and the
 script exits non-zero unless both produce byte-identical fleet digests
 (gateway shed/queue verdicts are part of the digest) — the pattern the
-CI ``serve-smoke`` job enforces.  The 100k-request decision-count stats
-(``BENCH_serve.json``) come from ``benchmarks/test_serve_throughput.py``.
+CI ``serve-smoke`` job enforces.
 
 Run:  python examples/serve_fleet.py [--check-determinism]
 """
@@ -25,7 +23,7 @@ import sys
 
 from repro import CoCGStrategy, GameProfile, build_catalog
 from repro.cluster import ClusterScheduler, FleetExperiment, FleetNode
-from repro.serve import AdmissionGateway, GatewayConfig, RolloutCache
+from repro.serve import AdmissionGateway, GatewayConfig
 
 HORIZON = 900
 SEED = 11
@@ -46,7 +44,7 @@ def build_profiles() -> dict:
 
 
 def run_once(profiles: dict, specs: list, *, batched: bool):
-    """One gateway-fronted fleet run; returns (result, gateway, cache)."""
+    """One gateway-fronted fleet run; returns (result, gateway)."""
     nodes = [
         FleetNode(f"node-{i}", CoCGStrategy(), profiles, seed=SEED + i)
         for i in range(N_NODES)
@@ -63,14 +61,10 @@ def run_once(profiles: dict, specs: list, *, batched: bool):
         ),
     )
     cluster.attach_gateway(gateway)
-    cache = RolloutCache()
-    if batched:
-        for node in nodes:
-            node.strategy.scheduler.attach_rollout_cache(cache)
     result = FleetExperiment(
         cluster, specs, horizon=HORIZON, rate_per_minute=RATE, seed=SEED
     ).run()
-    return result, gateway, cache
+    return result, gateway
 
 
 def main() -> int:
@@ -79,7 +73,7 @@ def main() -> int:
         "--check-determinism",
         action="store_true",
         help="run the gateway experiment twice and require identical "
-             "fleet digests (exit 1 otherwise); write BENCH_serve.json",
+             "fleet digests (exit 1 otherwise)",
     )
     args = parser.parse_args()
 
@@ -90,7 +84,7 @@ def main() -> int:
     if args.check_determinism:
         digests = []
         for attempt in (1, 2):
-            result, gateway, cache = run_once(profiles, specs, batched=True)
+            result, _gateway = run_once(profiles, specs, batched=True)
             digests.append(result.telemetry_digest)
             print(f"gateway run {attempt}: digest {result.telemetry_digest}")
         if digests[0] != digests[1]:
@@ -99,8 +93,8 @@ def main() -> int:
         print("OK: gateway replay is deterministic (digests identical)")
         return 0
 
-    result, gateway, cache = run_once(profiles, specs, batched=True)
-    naive_result, naive_gateway, _ = run_once(profiles, specs, batched=False)
+    result, gateway = run_once(profiles, specs, batched=True)
+    naive_result, naive_gateway = run_once(profiles, specs, batched=False)
 
     stats = gateway.stats()
     print(f"\nfleet of {N_NODES} nodes behind the gateway")
@@ -113,8 +107,6 @@ def main() -> int:
     print(f"micro-batching:     {b['evaluations']} shared evaluations, "
           f"{b['prescreen_rejects']} pre-screen rejects over "
           f"{b['rounds']} rounds")
-    print(f"rollout cache:      {cache.hits} hits / {cache.misses} misses "
-          f"({cache.hit_rate:.0%})")
     print("per-category SLO (time in queue):")
     for line in gateway.slo.summary_lines():
         print(f"  {line}")

@@ -10,7 +10,7 @@ capacity conservation is enforced uniformly across strategies.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.pipeline import GameProfile
 from repro.games.session import GameSession
@@ -25,8 +25,9 @@ class SchedulingStrategy(ABC):
     """Base class for scheduling strategies.
 
     Lifecycle: :meth:`attach` once, then per simulated run —
-    :meth:`try_admit` when a request is pending, :meth:`control` every
-    detection interval, :meth:`release` on completion.
+    :meth:`try_admit` (or :meth:`try_admit_lazy`) when a request is
+    pending, :meth:`control` every detection interval, :meth:`release`
+    on completion.
     """
 
     #: Human-readable strategy name (used in benchmark tables).
@@ -51,18 +52,40 @@ class SchedulingStrategy(ABC):
 
     def profile_of(self, session: GameSession) -> GameProfile:
         """The offline profile of a session's game."""
+        return self.profile_named(session.spec.name)
+
+    def profile_named(self, game: str) -> GameProfile:
+        """The offline profile of one game, by name."""
         try:
-            return self.profiles[session.spec.name]
+            return self.profiles[game]
         except KeyError:
             raise KeyError(
-                f"no profile for game {session.spec.name!r}; "
-                f"have {sorted(self.profiles)}"
+                f"no profile for game {game!r}; have {sorted(self.profiles)}"
             ) from None
 
     # ------------------------------------------------------------------
     @abstractmethod
     def try_admit(self, session: GameSession, *, time: float) -> bool:
         """Admission test; on success the session must be placed."""
+
+    def try_admit_lazy(
+        self,
+        session_id: str,
+        game: str,
+        build: Callable[[], GameSession],
+        *,
+        time: float,
+    ) -> Optional[GameSession]:
+        """Admission for a session that is only built if it is admitted.
+
+        Returns the placed session, or ``None`` on rejection.  The
+        default builds the session and asks :meth:`try_admit`; a strategy
+        that can decide from the game alone overrides this to reject
+        without building one.  ``session_id`` is the id ``build()``'s
+        session will carry.
+        """
+        session = build()
+        return session if self.try_admit(session, time=time) else None
 
     @abstractmethod
     def release(self, session_id: str, *, time: float) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.baselines.base import SchedulingStrategy
 from repro.core.pipeline import GameProfile
@@ -44,15 +44,27 @@ class CoCGStrategy(SchedulingStrategy):
     # ------------------------------------------------------------------
     def try_admit(self, session: GameSession, *, time: float) -> bool:
         """Algorithm-1 admission through the core scheduler."""
-        scheduler = self._require_scheduler()
-        decision = scheduler.try_admit(
-            session, self.profile_of(session), time=time
+        return self.try_admit_lazy(
+            session.session_id, session.spec.name, lambda: session, time=time
+        ) is not None
+
+    def try_admit_lazy(
+        self,
+        session_id: str,
+        game: str,
+        build: Callable[[], GameSession],
+        *,
+        time: float,
+    ) -> Optional[GameSession]:
+        """The exact admission verdict first; ``build`` only on admit."""
+        decision, session = self._require_scheduler().admit_lazy(
+            session_id, self.profile_named(game), build, time=time
         )
         if decision.admitted:
             self.admissions += 1
         else:
             self.rejections += 1
-        return decision.admitted
+        return session
 
     def release(self, session_id: str, *, time: float) -> None:
         """Release a finished session."""

@@ -111,10 +111,22 @@ _POSITIVE_FLOAT = _positive(float)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Bad input is one stderr line and exit code 2, without the usage dump."""
+    """Bad input is one stderr line and exit code 2, without the usage dump.
+
+    ``lazy_flags``, when set, installs the parser's flags on its first
+    parse, so a subcommand can defer an expensive import until it runs.
+    """
+
+    lazy_flags: Optional[Callable[[argparse.ArgumentParser], object]] = None
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.lazy_flags is not None:
+            install, self.lazy_flags = self.lazy_flags, None
+            install(self)
+        return super().parse_known_args(args, namespace)
 
 
 class _BadInput(Exception):
@@ -650,6 +662,13 @@ def cmd_lint(args) -> int:
     return run_from_args(args)
 
 
+def _lint_flags(parser: argparse.ArgumentParser) -> None:
+    """Install ``cocg lint``'s flags (imports the analyzer)."""
+    from repro.lint.__main__ import configure_parser
+
+    configure_parser(parser)
+
+
 # ----------------------------------------------------------------------
 
 def _add_run_flags(
@@ -832,12 +851,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output directory (default: corpus/)")
     co.set_defaults(func=cmd_corpus)
 
-    from repro.lint.__main__ import configure_parser as _configure_lint_parser
-
+    # The analyzer is imported only when ``cocg lint`` is parsed.
     lint = sub.add_parser(
         "lint", help="check CoCG invariants (rules CG001-CG018)"
     )
-    _configure_lint_parser(lint)
+    lint.lazy_flags = _lint_flags
     lint.set_defaults(func=cmd_lint)
 
     return parser

@@ -213,8 +213,8 @@ class FleetNode:
         seed: int,
         incarnation: int = 0,
     ) -> bool:
-        """Instantiate the request's session *on this node's platform*
-        and offer it to the local strategy.
+        """Offer the request to the local strategy; its session is
+        instantiated *on this node's platform* only if admitted.
 
         ``incarnation > 0`` marks a crash-requeued relaunch; it suffixes
         the session id so the restart never aliases the dead run's
@@ -223,19 +223,25 @@ class FleetNode:
         run = f"r{request.request_id}" + (
             f".{incarnation}" if incarnation else ""
         )
-        session = GameSession(
-            request.spec,
-            request.script,
-            player=request.player,
-            seed=seed,
-            platform=self.platform,
-            session_id=f"{request.spec.name}-{run}@{self.node_id}",
+        session_id = f"{request.spec.name}-{run}@{self.node_id}"
+        session = self.strategy.try_admit_lazy(
+            session_id,
+            request.spec.name,
+            lambda: GameSession(
+                request.spec,
+                request.script,
+                player=request.player,
+                seed=seed,
+                platform=self.platform,
+                session_id=session_id,
+            ),
+            time=time,
         )
-        if self.strategy.try_admit(session, time=time):
-            self.sessions[session.session_id] = session
-            self.requests[session.session_id] = request
-            return True
-        return False
+        if session is None:
+            return False
+        self.sessions[session_id] = session
+        self.requests[session_id] = request
+        return True
 
     def tick(self, t: int) -> None:
         """Advance every hosted session one second."""

@@ -143,8 +143,8 @@ class StagePredictor:
         #: Fault-injection switch: while True, :meth:`predict_next`
         #: raises :class:`PredictorBackendError` (see repro.faults).
         self.failure_injected: bool = False
-        #: Completed :meth:`rollout` calls — the unit the serve-layer
-        #: rollout cache saves; benchmarks compare it across paths.
+        #: Completed :meth:`rollout` calls — the unit the scheduler's
+        #: rollout memo saves; tests compare it across paths.
         self.rollout_count: int = 0
 
     # ------------------------------------------------------------------

@@ -21,13 +21,17 @@ replacement after repeated errors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.adjustment import DynamicAdjuster, backend_rotation
 from repro.core.allocation import AllocationPlanner
-from repro.core.distributor import AdmissionDecision, Distributor
+from repro.core.distributor import (
+    AdmissionDecision,
+    BatchEvaluation,
+    Distributor,
+)
 from repro.core.pipeline import GameProfile
 from repro.core.predictor import (
     Judgment,
@@ -46,7 +50,7 @@ from repro.obs.naming import (
 )
 from repro.obs.observer import Observer
 from repro.games.session import GameSession
-from repro.platform_.allocator import AllocationError, Allocator
+from repro.platform_.allocator import Allocator
 from repro.platform_.resources import N_DIMS, ResourceVector
 from repro.sim.telemetry import TelemetryRecorder
 from repro.streaming.encoder import EncoderModel
@@ -57,39 +61,7 @@ __all__ = [
     "CoCGScheduler",
     "SessionControl",
     "Decision",
-    "RolloutMemo",
 ]
-
-
-class RolloutMemo(Protocol):
-    """A shared predictor-rollout memo (``repro.serve.rollout_cache``).
-
-    Keyed by ``(session id, epoch, horizon)``: the epoch is the
-    session's stage-transition counter, so entries from before a
-    transition can never answer for the state after it.  Defined here as
-    a Protocol so :mod:`repro.core` stays import-free of the serve
-    layer.
-    """
-
-    def get(
-        self, session_id: str, epoch: int, horizon: int
-    ) -> Optional[List[ResourceVector]]:
-        """Return the memoized peaks, or ``None`` on a miss."""
-        ...
-
-    def put(
-        self,
-        session_id: str,
-        epoch: int,
-        horizon: int,
-        peaks: List[ResourceVector],
-    ) -> None:
-        """Memoize one rollout's peaks."""
-        ...
-
-    def invalidate(self, session_id: str) -> None:
-        """Drop every entry of one session (stage transition/release)."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -203,12 +175,8 @@ class SessionControl:
         self.hold_seconds: float = 0.0
         self.degraded_logged: bool = False
         self.prior_served: int = 0
-        self._peaks_cache: Dict[int, List[ResourceVector]] = {}
-        #: Bumped on every control-visible state change; rollout-cache
-        #: entries are keyed by it so stale epochs can never answer.
-        self.rollout_epoch: int = 0
-        #: Optional shared memo (attached by the serve layer).
-        self.rollout_cache: Optional[RolloutMemo] = None
+        #: horizon -> (the rollout's inputs, its peaks); see predicted_peaks.
+        self._peaks_memo: Dict[int, Tuple[tuple, List[ResourceVector]]] = {}
         self.desired: ResourceVector = planner.for_loading()
         # Prime the first prediction from the empty history.
         self._predict_next(now)
@@ -304,56 +272,35 @@ class SessionControl:
             return self.planner.throttled_loading(self.steal_fraction)
         return self.desired
 
-    def invalidate_rollouts(self) -> None:
-        """Drop every memoized rollout of this session.
-
-        Called whenever control-visible state may change (each control
-        visit, release): the local per-tick cache is cleared and the
-        session's epoch is bumped, which orphans any entries a shared
-        :class:`RolloutMemo` still holds.
-        """
-        self._peaks_cache.clear()
-        self.rollout_epoch += 1
-        if self.rollout_cache is not None:
-            self.rollout_cache.invalidate(self.session.session_id)
-
     @effects(hot_path=True)
     def predicted_peaks(self, horizon: int) -> List[ResourceVector]:
         """Rolled-forward allocation peaks for the distributor.
 
-        Memoized between control ticks: the rollout only depends on
-        state the 5-second control loop mutates, while the distributor
-        may ask for it once per queued request per admission round.
-        When a shared :class:`RolloutMemo` is attached it answers first
-        (so the serve layer's hit/miss counters see every lookup);
-        otherwise a session-local cache serves repeats.
+        Memoized on exactly what the rollout reads: the start stage, the
+        execution history, the predictor object and its fault switch,
+        and the horizon.  A rollout is recomputed only when the stage
+        belief (or the predictor serving it) changes, not on every
+        control visit; with no stage belief yet the current ceiling is
+        the best guess and nothing is rolled out.
         """
-        cache = self.rollout_cache
-        if cache is not None:
-            sid = self.session.session_id
-            cached = cache.get(sid, self.rollout_epoch, horizon)
-            if cached is None:
-                cached = self._compute_peaks(horizon)
-                cache.put(sid, self.rollout_epoch, horizon, cached)
-            return cached
-        local = self._peaks_cache.get(horizon)
-        if local is None:
-            local = self._compute_peaks(horizon)
-            self._peaks_cache[horizon] = local
-        return local
-
-    @effects(hot_path=True)
-    def _compute_peaks(self, horizon: int) -> List[ResourceVector]:
-        """One uncached rollout: walk the predicted stage chain and map
-        each stage to its (margin-free) execution plan."""
         start = self.believed if self.phase == "execution" else self.predicted
-        chain = self.predictor.rollout(
+        if start is None:
+            return [self.desired]
+        predictor = self.predictor
+        key = (
+            start, tuple(self.exec_history), predictor,
+            predictor.failure_injected,
+        )
+        memo = self._peaks_memo.get(horizon)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        chain = predictor.rollout(
             self.exec_history, horizon, start=start, player_id=self.player_id
         )
-        if not chain:
-            # No stage belief yet: the current ceiling is the best guess.
-            return [self.desired]
-        return [self.planner.for_execution(t, redundancy=False) for t in chain]
+        # Each stage maps to its (margin-free) execution plan.
+        peaks = [self.planner.for_execution(t, redundancy=False) for t in chain]
+        self._peaks_memo[horizon] = (key, peaks)
+        return peaks
 
 
 class CoCGScheduler:
@@ -388,9 +335,13 @@ class CoCGScheduler:
         self.decision_log: List[Decision] = []
         self.rejections = 0
         self.admissions = 0
-        #: Shared rollout memo (attached by the serve layer, if any).
-        self.rollout_cache: Optional[RolloutMemo] = None
-        self._terms_cache: Dict[str, Tuple[ResourceVector, ResourceVector]] = {}
+        #: game -> (entry_min, steady_peak, boot plan); see admission_terms.
+        self._terms_cache: Dict[
+            str, Tuple[ResourceVector, ResourceVector, ResourceVector]
+        ] = {}
+        #: The admission snapshot and the instant it was taken at.
+        self._snapshot: Optional[BatchEvaluation] = None
+        self._snapshot_time: float = 0.0
         #: Shared observer (attached by the fleet, if any).
         self.obs: Optional[Observer] = None
         self._obs_stream: str = node_stream("server")
@@ -453,6 +404,13 @@ class CoCGScheduler:
         memoized per game; the serve-layer batcher calls this once per
         candidate without re-deriving planners.
         """
+        entry_min, steady, _entry = self._terms(profile)
+        return entry_min, steady
+
+    def _terms(
+        self, profile: GameProfile
+    ) -> Tuple[ResourceVector, ResourceVector, ResourceVector]:
+        """:meth:`admission_terms` plus the full-speed boot plan."""
         name = profile.spec.name
         cached = self._terms_cache.get(name)
         if cached is None:
@@ -460,19 +418,31 @@ class CoCGScheduler:
             cached = (
                 planner.throttled_loading(self.config.regulator.steal_fraction),
                 self._typical_plan(planner),
+                planner.for_loading(),
             )
             self._terms_cache[name] = cached
         return cached
 
     def task_views(self) -> List[SessionControl]:
-        """The running set as Algorithm-1 task views (batcher input)."""
+        """The running set as Algorithm-1 task views (snapshot input)."""
         return list(self._sessions.values())
 
-    def attach_rollout_cache(self, cache: RolloutMemo) -> None:
-        """Share a rollout memo across this scheduler's sessions."""
-        self.rollout_cache = cache
-        for ctl in self._sessions.values():
-            ctl.rollout_cache = cache
+    def admission_snapshot(self, time: float) -> BatchEvaluation:
+        """The node's Algorithm-1 snapshot at simulated ``time``.
+
+        One :class:`BatchEvaluation` over the running set answers every
+        admission question asked at one instant — the serve-layer
+        pre-screen's and :meth:`admit_lazy`'s alike — with at most one
+        rollout per running task.  It is dropped whenever the running
+        set or its ceilings may change (admit, release, :meth:`control`)
+        and never outlives the instant it was taken at.
+        """
+        snapshot = self._snapshot
+        if snapshot is None or self._snapshot_time != time:
+            snapshot = self.distributor.begin_batch(self.task_views())
+            self._snapshot = snapshot
+            self._snapshot_time = time
+        return snapshot
 
     def attach_observer(self, obs: Observer, *, node: str = "") -> None:
         """Report decisions and control cycles through a shared observer.
@@ -510,27 +480,49 @@ class CoCGScheduler:
         gpu_index: Optional[int] = None,
     ) -> AdmissionDecision:
         """Algorithm-1 admission; on success the session is placed."""
-        backend, planner = self._admission_planner(profile)
-        entry = planner.for_loading()
-        entry_min, steady = self.admission_terms(profile)
-        decision = self.distributor.can_admit(
-            entry_min, steady, self.task_views()
+        decision, _session = self.admit_lazy(
+            session.session_id, profile, lambda: session,
+            time=time, gpu_index=gpu_index,
         )
+        return decision
+
+    def admit_lazy(
+        self,
+        session_id: str,
+        profile: GameProfile,
+        build: Callable[[], GameSession],
+        *,
+        time: float = 0.0,
+        gpu_index: Optional[int] = None,
+    ) -> Tuple[AdmissionDecision, Optional[GameSession]]:
+        """Decide admission before the session exists; build it only to
+        place it.
+
+        The verdict is exact: Algorithm 1 against the node's
+        :meth:`admission_snapshot`, then the cap test ``allocator.place``
+        applies to the boot grant.  A rejection is counted (and an
+        Algorithm-1 rejection logged under ``session_id``) without
+        calling ``build``; an admission builds, places and starts
+        controlling the session.  Returns ``(decision, session)``, the
+        session being ``None`` on rejection.
+        """
+        entry_min, steady, entry = self._terms(profile)
+        decision = self.admission_snapshot(time).evaluate(entry_min, steady)
         if not decision.admitted:
             self.rejections += 1
             self._now = time
-            self._log(session.session_id, "reject", decision.reason)
-            return decision
+            self._log(session_id, "reject", decision.reason)
+            return decision, None
         gi = gpu_index if gpu_index is not None else self.allocator.gpu_order()[0]
-        throttled = planner.throttled_loading(self.config.regulator.steal_fraction)
         grant = entry.minimum(self.allocator.capped_available(gi)).maximum(
-            throttled.minimum(entry)
+            entry_min.minimum(entry)
         )
-        try:
-            self.allocator.place(session.session_id, grant, gpu_index=gi, time=time)
-        except AllocationError:
+        if not self.allocator.can_place(grant, gi):
             self.rejections += 1
-            return AdmissionDecision(False, "placement failed under the cap")
+            return AdmissionDecision(False, "placement failed under the cap"), None
+        session = build()
+        self.allocator.place(session.session_id, grant, gpu_index=gi, time=time)
+        backend, planner = self._admission_planner(profile)
         ctl = SessionControl(
             session,
             profile,
@@ -546,13 +538,13 @@ class CoCGScheduler:
         )
         if not self.config.use_redundancy:
             ctl.planner.set_accuracy(1.0)  # zero Eq-1 margin
-        ctl.rollout_cache = self.rollout_cache
         ctl.desired = entry
         self._sessions[session.session_id] = ctl
+        self._snapshot = None
         self.admissions += 1
         self._now = time
         self._log(session.session_id, "admit", decision.reason)
-        return decision
+        return decision, session
 
     @staticmethod
     def _typical_plan(planner: AllocationPlanner) -> ResourceVector:
@@ -577,8 +569,8 @@ class CoCGScheduler:
     def release(self, session_id: str, *, time: float = 0.0) -> None:
         """Remove a finished/aborted session."""
         if session_id in self._sessions:
-            self._sessions[session_id].invalidate_rollouts()
             del self._sessions[session_id]
+            self._snapshot = None
             self.allocator.release(session_id, time=time)
             self._now = time
             self._log(session_id, "release")
@@ -596,6 +588,7 @@ class CoCGScheduler:
         """
         interval = self.config.detect_interval
         self._now = time
+        self._snapshot = None
         if self.obs is not None:
             self.obs.tick(time)
             with self.obs.span(
@@ -635,7 +628,6 @@ class CoCGScheduler:
     def _control_session(
         self, ctl: SessionControl, window: np.ndarray, interval: int
     ) -> None:
-        ctl.invalidate_rollouts()  # state may change below
         self._last_window = window
         if ctl.health.state is not BreakerState.CLOSED:
             # Open breaker: the model chain is distrusted.  Probe once

@@ -8,8 +8,6 @@ traffic from millions of users" reaches the distributor at all:
   digest;
 * :mod:`~repro.serve.batching` — one shared Algorithm-1 pass per node
   per scheduling tick instead of per request×node;
-* :mod:`~repro.serve.rollout_cache` — keyed predictor-rollout memo with
-  explicit epoch invalidation;
 * :mod:`~repro.serve.slo` — per-category time-in-queue percentiles;
 * :mod:`~repro.serve.loadgen` — deterministic open/closed-loop request
   generation at ≥100k-request scale.
@@ -27,7 +25,6 @@ from repro.serve.gateway import (
     TokenBucket,
 )
 from repro.serve.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen
-from repro.serve.rollout_cache import RolloutCache
 from repro.serve.slo import CategorySlo, SloTracker, percentile_nearest_rank
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "QueuedRequest",
     "TokenBucket",
     "MicroBatcher",
-    "RolloutCache",
     "SloTracker",
     "CategorySlo",
     "percentile_nearest_rank",

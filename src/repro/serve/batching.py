@@ -5,8 +5,10 @@ Naive per-request admission evaluates Algorithm 1 from scratch for every
 co-consumption and re-rolls every running session's predictor
 ``horizon`` iterations.  Within one scheduling tick none of that depends
 on the candidate, so a tick's pending requests form a natural
-*micro-batch*: one :class:`~repro.core.distributor.BatchEvaluation` per
-node answers every candidate from a single shared rollout pass.
+*micro-batch*: each node's admission snapshot
+(``CoCGScheduler.admission_snapshot``, one
+:class:`~repro.core.distributor.BatchEvaluation` per node and simulated
+instant) answers every candidate from a single shared rollout pass.
 
 Outcome equivalence is by construction, not by luck:
 
@@ -21,8 +23,8 @@ Outcome equivalence is by construction, not by luck:
   :class:`~repro.games.session.GameSession` is built for it;
 * a node that passes the pre-screen still goes through the authoritative
   ``node.try_admit`` (placement can fail under the cap even when
-  Algorithm 1 passes), and an admission drops that node's batch
-  snapshot, since its running set just changed.
+  Algorithm 1 passes), which reads the same snapshot; an admission
+  drops it, since the node's running set just changed.
 
 Nodes whose strategy does not expose a CoCG scheduler (baselines) fall
 back to plain ``try_admit`` — the batcher degrades to naive dispatch for
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.distributor import BatchEvaluation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.naming import BATCHER_EVENTS
 
@@ -73,7 +74,6 @@ class MicroBatcher:
         #: Candidate probes that fell back to plain ``try_admit``
         #: (non-CoCG strategy or unknown game profile).
         self._c_fallback_probes = events.labels(event="fallback_probes")
-        self._batches: Dict[str, BatchEvaluation] = {}
 
     # ------------------------------------------------------------------
     # Counter views (kept for compatibility with pre-registry callers)
@@ -105,9 +105,8 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def begin_round(self) -> None:
-        """Start a fresh batch round: all node snapshots are dropped."""
+        """Count one batch round (a gateway pump)."""
         self._c_rounds.inc()
-        self._batches = {}
 
     @staticmethod
     def _probe(node: "FleetNode"):
@@ -116,8 +115,7 @@ class MicroBatcher:
         if sched is None:
             return None
         if not (
-            hasattr(sched, "distributor")
-            and hasattr(sched, "task_views")
+            hasattr(sched, "admission_snapshot")
             and hasattr(sched, "admission_terms")
         ):
             return None
@@ -131,7 +129,7 @@ class MicroBatcher:
         time: float,
         seed_for,
     ) -> Optional["FleetNode"]:
-        """Place one request using the round's shared batch snapshots.
+        """Place one request using the nodes' shared admission snapshots.
 
         Mirrors :meth:`ClusterScheduler.dispatch` (same candidate order,
         same ``dispatched``/``deferred`` accounting) with the Algorithm-1
@@ -146,13 +144,10 @@ class MicroBatcher:
                 else None
             )
             if sched is not None and profile is not None:
-                batch = self._batches.get(node.node_id)
-                if batch is None:
-                    batch = sched.distributor.begin_batch(sched.task_views())
-                    self._batches[node.node_id] = batch
                 entry_min, steady = sched.admission_terms(profile)
                 self._c_evaluations.inc(time=time)
-                if not batch.evaluate(entry_min, steady).admitted:
+                snapshot = sched.admission_snapshot(time)
+                if not snapshot.evaluate(entry_min, steady).admitted:
                     self._c_prescreen_rejects.inc(time=time)
                     continue
             else:
@@ -163,8 +158,6 @@ class MicroBatcher:
                 seed=seed_for(request, entry.incarnation),
                 incarnation=entry.incarnation,
             ):
-                # The node's running set changed; its snapshot is stale.
-                self._batches.pop(node.node_id, None)
                 self._c_admissions.inc(time=time)
                 cluster.note_dispatch("dispatched", time=time)
                 return node

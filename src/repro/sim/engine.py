@@ -1,10 +1,11 @@
 """A compact discrete-event simulation engine.
 
 Time is a float in seconds (the co-location experiments use integer
-ticks).  Events are ``(time, priority, seq, callback)`` entries in a
-heap; callbacks may schedule further events.  The engine is deliberately
-minimal — deterministic ordering and cancellation are the two features
-the schedulers rely on.
+ticks).  The heap holds ``(time, priority, seq, event)`` tuples — the
+unique ``seq`` settles every tie, so the heap compares plain numbers and
+never an :class:`Event` — and callbacks may schedule further events.
+The engine is deliberately minimal — deterministic ordering and
+cancellation are the two features the schedulers rely on.
 
 :func:`validate_shard_plan` is the runtime half of the shard
 certification story: given the ``shardplan.json`` certificate the
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.util.effects import shard_entry_group
 
@@ -26,9 +27,10 @@ __all__ = ["Event", "SimulationEngine", "ShardPlanError",
            "SHARD_PLAN_SCHEMA", "validate_shard_plan"]
 
 
-@dataclass(order=True)
-class Event:  # lint: disable=CG013 -- engine-internal heap entry, not telemetry
-    """A scheduled callback.  Ordering: time, then priority, then FIFO."""
+@dataclass
+class Event:  # lint: disable=CG013 -- engine-internal handle, not telemetry
+    """A scheduled callback.  Fires in order of time, then priority,
+    then scheduling order (FIFO)."""
 
     time: float
     priority: int
@@ -60,7 +62,7 @@ class SimulationEngine:
 
     def __init__(self, *, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._processed = 0
         self._live = 0
@@ -102,7 +104,9 @@ class SimulationEngine:
             float(time), int(priority), next(self._seq), callback,
             _on_cancel=self._note_cancel,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(
+            self._heap, (event.time, event.priority, event.seq, event)
+        )
         self._live += 1
         return event
 
@@ -155,7 +159,7 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             event._done = True  # cancel() after this point is a no-op
@@ -169,7 +173,7 @@ class SimulationEngine:
     def run_until(self, end_time: float) -> None:
         """Run events with ``time <= end_time``; advance the clock to it."""
         while self._heap:
-            head = self._heap[0]
+            head = self._heap[0][3]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 continue

@@ -77,6 +77,33 @@ class TestParser:
             build_parser().parse_args(["chaos", "contra", "--scenario", "bad"])
 
 
+class TestLazyLintParser:
+    """Only ``cocg lint`` pays for importing the analyzer."""
+
+    def test_build_parser_leaves_the_analyzer_unimported(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser().parse_args(['catalog'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'repro.lint' or m.startswith('repro.lint.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_lint_flags_install_on_parse(self, capsys):
+        args = build_parser().parse_args(["lint", "--format", "json", "src"])
+        assert args.format == "json" and args.paths == ["src"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "--help"])
+        out = capsys.readouterr().out
+        assert "--effects-out" in out and "--select" in out
+
+
 class TestBoundaryValidation:
     """Non-positive sizes are rejected while parsing: one line, exit 2."""
 

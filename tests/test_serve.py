@@ -1,7 +1,7 @@
 """Tests for the ``repro.serve`` subsystem and its batching contracts.
 
 Covers the gateway (queues, shedding, patience, rate limiting), the
-rollout cache, the SLO tracker, load generation determinism, the single
+SLO tracker, load generation determinism, the single
 candidate-order/tie-break policy, and the load-bearing equivalence
 property: batched Algorithm-1 evaluation returns decisions identical to
 the sequential path.
@@ -20,7 +20,6 @@ from repro.serve import (
     AdmissionGateway,
     GatewayConfig,
     OpenLoopLoadGen,
-    RolloutCache,
     SloTracker,
     TokenBucket,
     percentile_nearest_rank,
@@ -77,53 +76,6 @@ class TestTokenBucket:
             TokenBucket(0.0, 1)
         with pytest.raises(ValueError):
             TokenBucket(1.0, 0)
-
-
-# ----------------------------------------------------------------------
-# RolloutCache
-# ----------------------------------------------------------------------
-
-class TestRolloutCache:
-    def test_miss_then_hit(self):
-        cache = RolloutCache()
-        assert cache.get("s0", 0, 3) is None
-        peaks = [uniform(1.0)] * 3
-        cache.put("s0", 0, 3, peaks)
-        assert cache.get("s0", 0, 3) is peaks
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
-    def test_epoch_and_horizon_key_separately(self):
-        cache = RolloutCache()
-        cache.put("s0", 0, 3, [uniform(1.0)])
-        assert cache.get("s0", 1, 3) is None
-        assert cache.get("s0", 0, 5) is None
-
-    def test_invalidate_drops_every_epoch_of_a_session(self):
-        cache = RolloutCache()
-        cache.put("s0", 0, 3, [uniform(1.0)])
-        cache.put("s0", 1, 3, [uniform(1.0)])
-        cache.put("s1", 0, 3, [uniform(2.0)])
-        cache.invalidate("s0")
-        assert cache.invalidations == 2
-        assert cache.get("s0", 1, 3) is None
-        assert cache.get("s1", 0, 3) is not None
-
-    def test_fifo_eviction_at_capacity(self):
-        cache = RolloutCache(max_entries=2)
-        cache.put("a", 0, 3, [uniform(1.0)])
-        cache.put("b", 0, 3, [uniform(1.0)])
-        cache.put("c", 0, 3, [uniform(1.0)])
-        assert cache.evictions == 1
-        assert len(cache) == 2
-        assert cache.get("a", 0, 3) is None  # oldest gone
-        assert cache.get("b", 0, 3) is not None
-
-    def test_validation_and_stats(self):
-        with pytest.raises(ValueError):
-            RolloutCache(max_entries=0)
-        stats = RolloutCache().stats()
-        assert stats["entries"] == 0 and stats["hit_rate"] == 0.0
 
 
 # ----------------------------------------------------------------------

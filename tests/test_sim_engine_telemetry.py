@@ -89,6 +89,48 @@ class TestEngine:
         with pytest.raises(ValueError):
             SimulationEngine().every(0, lambda e: None)
 
+    def test_firing_order_is_pinned(self):
+        # Time, then priority, then scheduling order; a cancelled entry
+        # is skipped wherever it sits, and events scheduled from a
+        # callback at the current time join the back of their tie.
+        eng = SimulationEngine()
+        order = []
+
+        def log(name):
+            return lambda e: order.append((e.now, name))
+
+        def spawn(e):
+            order.append((e.now, "spawn"))
+            e.at(3, log("spawned-p0"))
+            e.at(3, log("spawned-p-1"), priority=-1)
+
+        eng.at(3, log("a"), priority=1)
+        eng.at(1, log("b"))
+        eng.at(3, log("c"))
+        eng.at(3, spawn, priority=-1)
+        eng.at(1, log("d"), priority=-2)
+        eng.at(3, log("e"), priority=1)
+        eng.at(2.5, log("cancelled")).cancel()
+        eng.at(3, log("f"))
+        eng.run()
+        assert order == [
+            (1, "d"), (1, "b"),
+            (3, "spawn"), (3, "spawned-p-1"),
+            (3, "c"), (3, "f"), (3, "spawned-p0"),
+            (3, "a"), (3, "e"),
+        ]
+        assert eng.processed == 9 and eng.pending == 0
+
+    def test_ties_never_compare_events(self):
+        # Many equal (time, priority) entries: the heap's sequence
+        # number settles every tie, so events fire in scheduling order.
+        eng = SimulationEngine()
+        order = []
+        for i in range(200):
+            eng.at(1, lambda e, i=i: order.append(i), priority=i % 3)
+        eng.run_until(1)
+        assert order == sorted(range(200), key=lambda i: (i % 3, i))
+
     def test_pending_counts_noncancelled(self):
         eng = SimulationEngine()
         ev = eng.at(1, lambda e: None)
