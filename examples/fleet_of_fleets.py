@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Fleet-of-fleets: regional shards behind the consistent-hash router.
 
-The whole PR-10 story in one script:
+The whole fleet-of-fleets story in one script:
 
-1. certify the shard-plan certificate against the runtime entry points
-   (a stale ``shardplan.json`` refuses to start the fleet);
-2. run N regional shards — each an independent event stream with its
+1. run N regional shards — each an independent event stream with its
    own cluster and region-namespaced RNG — behind the session router;
-3. merge the regional digests into one canonical cross-shard digest;
-4. at N=1, prove the reduction guarantee: the merged digest equals the
+2. merge the regional digests into one canonical cross-shard digest;
+3. at N=1, prove the reduction guarantee: the merged digest equals the
    classic single-:class:`FleetExperiment` digest byte for byte;
-5. with ``--check-determinism``, run everything twice and fail unless
+4. with ``--check-determinism``, run everything twice and fail unless
    the merged digests come back identical.
 
 Run:  python examples/fleet_of_fleets.py [--regions N]
@@ -21,7 +19,7 @@ import argparse
 import sys
 
 from repro.cluster.experiment import FleetExperiment
-from repro.fleet import FleetOfFleets, RegionSpec, certify_runtime
+from repro.fleet import FleetOfFleets, RegionSpec
 from repro.games.catalog import build_catalog
 from repro.trace.harness import RunConfig, build_cluster, build_profiles
 
@@ -53,12 +51,7 @@ def main(argv=None) -> int:
                         help="run twice; fail unless merged digests match")
     args = parser.parse_args(argv)
 
-    # 1. Startup certification — same gate as `cocg fleet`.
-    plan = certify_runtime()
-    print(f"shard plan certified: {plan['counts']['entry_points']} entry "
-          f"points, {plan['counts']['shard_interfering']} interfering")
-
-    # 2+3. The sharded run.
+    # 1+2. The sharded run.
     result = run_fleet(args.regions)
     print(f"\n{args.regions} regions x {CONFIG.nodes} nodes, "
           f"{CONFIG.horizon}s horizon")
@@ -71,7 +64,7 @@ def main(argv=None) -> int:
     print(f"completed runs: {result.completed_runs}")
     print(f"merged digest:  {result.merged_digest}")
 
-    # 4. The reduction guarantee, asserted live at N=1.
+    # 3. The reduction guarantee, asserted live at N=1.
     if args.regions == 1:
         catalog = build_catalog()
         profiles = build_profiles(CONFIG, catalog)
@@ -90,7 +83,7 @@ def main(argv=None) -> int:
         print("reduction guarantee holds: N=1 merged digest == "
               "single-fleet digest")
 
-    # 5. Double-run byte-identity.
+    # 4. Double-run byte-identity.
     if args.check_determinism:
         again = run_fleet(args.regions)
         same = again.merged_digest == result.merged_digest

@@ -50,18 +50,13 @@ exit-code contract:
 * ``1`` — the run or a check failed (a replay diverged, a fault plan
   failed ``--validate``, lint found problems, the session ledger or a
   determinism check did not balance);
-* ``2`` — bad input or a stale artifact: an unknown flag or game, a
-  value the run configuration rejects (one ``cocg <cmd>: error: …``
-  stderr line, checked before anything runs), an unreadable fault plan
-  or trace, or a stale shard-plan certificate.
+* ``2`` — bad input: an unknown flag or game, a value the run
+  configuration rejects (one ``cocg <cmd>: error: …`` stderr line,
+  checked before anything runs), or an unreadable fault plan or trace.
 
 When stdout is a pipe whose reader has gone away (``cocg … | head -1``),
 the report cannot be delivered: the command exits ``1`` quietly, with no
 ``BrokenPipeError`` traceback.
-
-``cocg fleet`` and ``cocg serve`` certify the shard-plan certificate
-(the packaged ``shardplan.json``, or ``--shard-plan PATH``) against the
-runtime's registered entry points before starting.
 
 Run ``python -m repro.cli --help`` (or the installed ``cocg`` script).
 """
@@ -136,27 +131,6 @@ class _BadInput(Exception):
 def _err(message: str) -> None:
     """Print an error diagnostic to stderr (stdout stays report-only)."""
     print(message, file=sys.stderr)
-
-
-def _certify_or_fail(args) -> int:
-    """Startup shard-plan certification shared by fleet/serve.
-
-    Returns 0 when the certificate matches the runtime's registered
-    entry points, 2 (with the full problem list on stderr) when it is
-    stale, undecorated, or unreadable.
-    """
-    from repro.fleet import certify_runtime
-    from repro.sim import ShardPlanError
-
-    path = getattr(args, "shard_plan", None)
-    try:
-        certify_runtime(path)
-    except (ShardPlanError, OSError, ValueError) as exc:
-        _err(f"shard-plan certification failed: {exc}")
-        _err("hint: regenerate with `cocg lint src/ --shard-plan-out "
-             "src/repro/shardplan.json`")
-        return 2
-    return 0
 
 
 def _check_games(games: Sequence[str]) -> Dict:
@@ -339,9 +313,6 @@ def cmd_fleet(args) -> int:
     shards (one by default: the plain single fleet)."""
     from repro.fleet import FleetOfFleets, RegionSpec
 
-    rc = _certify_or_fail(args)
-    if rc:
-        return rc
     config = _run_config(args, gateway=False)
     profiles = _load_or_build_profiles(config, args.profiles_dir)
     regions = [RegionSpec(f"r{i}") for i in range(args.regions)]
@@ -378,9 +349,6 @@ def cmd_serve(args) -> int:
     from repro.obs import Observer
     from repro.trace.harness import build_experiment
 
-    rc = _certify_or_fail(args)
-    if rc:
-        return rc
     config = _run_config(args, micro_batching=not args.no_batching)
     profiles = _load_or_build_profiles(config, args.profiles_dir)
     obs = Observer() if args.obs_out else None
@@ -714,12 +682,6 @@ def _add_gateway_flags(p: argparse.ArgumentParser) -> None:
                    help="queue patience before dead-lettering")
 
 
-def _add_shard_plan_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shard-plan", metavar="PATH",
-                   help="shard-plan certificate to certify against "
-                        "(default: the packaged shardplan.json)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     from repro.trace.harness import STRATEGIES
@@ -761,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run N regional shards behind the consistent-hash "
                         "session router (fleet-of-fleets; default 1 = the "
                         "classic single fleet)")
-    _add_shard_plan_flag(f)
     f.set_defaults(func=cmd_fleet)
 
     s = sub.add_parser(
@@ -777,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--obs-out", metavar="DIR",
                    help="attach the observability pipeline and write "
                         "metrics.prom + trace.json here")
-    _add_shard_plan_flag(s)
     s.set_defaults(func=cmd_serve)
 
     ch = sub.add_parser(

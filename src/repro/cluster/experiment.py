@@ -27,7 +27,7 @@ from repro.faults.plan import FaultPlan
 from repro.games.spec import GameSpec
 from repro.obs.observer import Observer
 from repro.sim.engine import SimulationEngine
-from repro.util.effects import shard_entry, shard_merge_point
+from repro.util.effects import shard_entry
 from repro.util.rng import Seed, derive_seed
 from repro.workloads.metrics import throughput_eq2
 from repro.workloads.requests import GameRequest, PoissonArrivals
@@ -59,8 +59,8 @@ def default_arrivals(
     This is the one place the ``"arrivals"`` seed namespace is minted,
     so both a plain :class:`FleetExperiment` and a
     :class:`repro.fleet.FleetOfFleets` region generating its own load
-    draw from streams derived the same way (and the CG021 namespace
-    stays single-owner).  ``id_base`` offsets request ids — regional
+    draw from streams derived the same way (and the namespace stays
+    single-owner).  ``id_base`` offsets request ids — regional
     generators pass disjoint bases so merged streams never collide.
     """
     return PoissonArrivals(
@@ -290,7 +290,6 @@ class FleetExperiment:
         return self._aggregate(started_waits, injector)
 
     # ------------------------------------------------------------------
-    @shard_merge_point
     def _aggregate(
         self,
         started_waits: List[float],

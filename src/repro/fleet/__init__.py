@@ -5,20 +5,15 @@ shards — each a fully independent partition with its own event stream,
 cluster, provisioner, and :func:`~repro.util.rng.region_seed`-spaced
 randomness — fronted by a :class:`SessionRouter` that consistent-hashes
 players onto regions over a :class:`HashRing`.  Regional streams
-execute independently and meet only in the ``@shard_merge_point``
-aggregator, which folds them into one canonical cross-shard digest; at
-N=1 the whole construction reduces byte-for-byte to the classic single
-:class:`~repro.cluster.experiment.FleetExperiment`.  Startup
-certification (:func:`certify_runtime`) refuses to run a fleet whose
-``shardplan.json`` certificate no longer matches the registered entry
-points.  See ``docs/FLEET.md``.
+execute independently and meet only in :meth:`FleetOfFleets.merge`,
+which folds them into one canonical cross-shard digest; at N=1 the
+whole construction reduces byte-for-byte to the classic single
+:class:`~repro.cluster.experiment.FleetExperiment`.  Independence is
+checked by running shards apart: every region's digest is the same in
+sorted order, in reverse order, and alone in a fresh interpreter
+(``tests/test_fleet.py::TestShardIsolation``).  See ``docs/FLEET.md``.
 """
 
-from repro.fleet.certify import (
-    certify_runtime,
-    load_certificate,
-    runtime_entry_points,
-)
 from repro.fleet.controller import (
     FleetOfFleets,
     FleetOfFleetsResult,
@@ -42,7 +37,4 @@ __all__ = [
     "FleetOfFleetsResult",
     "region_outage_plan",
     "region_node_id",
-    "certify_runtime",
-    "load_certificate",
-    "runtime_entry_points",
 ]

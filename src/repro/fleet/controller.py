@@ -48,7 +48,7 @@ from repro.trace.harness import (
     experiment_seed,
 )
 from repro.trace.recorder import TraceRecorder
-from repro.util.effects import shard_entry, shard_merge_point
+from repro.util.effects import shard_entry
 from repro.util.rng import region_seed
 from repro.workloads.metrics import throughput_eq2
 
@@ -351,7 +351,6 @@ class FleetOfFleets:
         return self.merge(outcomes)
 
     # ------------------------------------------------------------------
-    @shard_merge_point
     def merge(
         self, outcomes: Dict[str, RegionOutcome]
     ) -> FleetOfFleetsResult:

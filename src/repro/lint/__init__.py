@@ -22,15 +22,7 @@ and type-annotated public APIs.  This package parses the tree with
   propagation and checks shard-safety of the fleet path, drift against
   ``@effects(...)`` declarations (:mod:`repro.util.effects`), the
   architecture layering DAG, and hot-path purity; ``--effects-out``
-  exports the signatures as a deterministic ``effects.json``.  On top
-  of both, the **shard-interference analyzer**
-  (:mod:`repro.lint.shards`, **CG019** – **CG022**) classifies every
-  function reachable from a shard entry point (``@shard_entry(...)``
-  or the fleet/serve conventions) as *shard-local*,
-  *shard-shared-read*, or *shard-interfering*, flags cross-partition
-  mutable reach, merge-order fragility, seed-stream partition leakage,
-  and cross-shard digest writes, and exports the byte-stable
-  ``shardplan.json`` certificate via ``--shard-plan-out``.  See
+  exports the signatures as a deterministic ``effects.json``.  See
   ``docs/LINT.md``.
 
 Use it three ways:
@@ -63,6 +55,7 @@ from repro.lint.effects import (
     EffectInference,
     infer_effects,
     render_effects,
+    shard_entry_points,
 )
 from repro.lint.engine import LintResult, iter_python_files, lint_file, lint_paths
 from repro.lint.findings import Finding
@@ -88,13 +81,6 @@ from repro.lint.registry import (
     resolve_rules,
 )
 from repro.lint.reporters import render_json, render_sarif, render_text
-from repro.lint.shards import (
-    SHARD_CLASSES,
-    ShardAnalysis,
-    render_shard_plan,
-    shard_analysis,
-    shard_entry_points,
-)
 
 __all__ = [
     "Finding",
@@ -113,11 +99,7 @@ __all__ = [
     "EffectInference",
     "infer_effects",
     "render_effects",
-    "SHARD_CLASSES",
-    "ShardAnalysis",
-    "shard_analysis",
     "shard_entry_points",
-    "render_shard_plan",
     "explain_rule",
     "rule_class",
     "UnknownRuleError",

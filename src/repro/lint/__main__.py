@@ -73,11 +73,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="write the inferred effect signatures (effects.json) "
              "to PATH",
     )
-    parser.add_argument(
-        "--shard-plan-out", metavar="PATH", type=Path,
-        help="write the shard-interference certificate (shardplan.json) "
-             "to PATH",
-    )
     return parser
 
 
@@ -88,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CoCG invariant checker "
                     "(per-file CG001-CG009 and CG014, "
                     "whole-program CG010-CG013, "
-                    "effect system CG015-CG018, "
-                    "shard certification CG019-CG022)",
+                    "effect system CG015-CG018)",
     ))
 
 
@@ -138,15 +132,12 @@ def run_from_args(args: argparse.Namespace) -> int:
             ignore=ignore,
             whole_program=not args.no_project,
             effects=args.effects_out is not None,
-            shard_plan=args.shard_plan_out is not None,
         )
     except (UnknownRuleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.effects_out is not None and result.effects is not None:
         args.effects_out.write_text(result.effects, encoding="utf-8")
-    if args.shard_plan_out is not None and result.shard_plan is not None:
-        args.shard_plan_out.write_text(result.shard_plan, encoding="utf-8")
     if args.sarif is not None:
         args.sarif.write_text(render_sarif(result) + "\n", encoding="utf-8")
     if args.format == "json":

@@ -50,12 +50,6 @@ from repro.lint.dataflow import (
 )
 from repro.lint.project import ProjectContext, ProjectRule
 from repro.lint.registry import ANALYZER_VERSION, register_project
-from repro.lint.shards import (
-    SHARD_ENTRY_PACKAGES,
-    SHARD_ENTRY_TERMINALS,
-    SHARD_EXEMPT_PACKAGES,
-    shard_entry_points,
-)
 
 __all__ = [
     "EFFECT_NAMES",
@@ -63,6 +57,7 @@ __all__ = [
     "infer_effects",
     "render_effects",
     "LAYERS",
+    "shard_entry_points",
     "ShardSafetyRule",
     "EffectDeclarationRule",
     "LayeringRule",
@@ -217,13 +212,36 @@ def render_effects(project: ProjectContext,
 # ---------------------------------------------------------------------------
 # CG015 — shard safety
 
-# Entry-point discovery and the exemption set live in
-# :mod:`repro.lint.shards` (the shard-interference analyzer) so CG015
-# and the CG019–CG022 certification rules can never disagree about what
-# an entry point is.  Re-exported names keep the old import path alive.
-_SHARD_ENTRY_TERMINALS = SHARD_ENTRY_TERMINALS
-_SHARD_ENTRY_PACKAGES = SHARD_ENTRY_PACKAGES
-_SHARD_EXEMPT_PACKAGES = SHARD_EXEMPT_PACKAGES
+#: Terminal names that make a ``cluster``/``serve`` function a shard
+#: entry point by convention: ``FleetExperiment.run``, the gateway
+#: ``pump``, cluster ``dispatch``/``submit``.  An explicit
+#: ``@shard_entry`` decoration anywhere also creates an entry.
+_SHARD_ENTRY_TERMINALS = frozenset({"run", "pump", "dispatch", "submit"})
+_SHARD_ENTRY_PACKAGES = ("cluster", "serve")
+
+#: Packages whose in-package writes are the sanctioned exceptions:
+#: ``obs`` *owns* the metrics registry (that is where shared aggregates
+#: are supposed to live), and ``lint`` mutates its rule registries at
+#: import time only.
+_SHARD_EXEMPT_PACKAGES = frozenset({"lint", "obs"})
+
+
+def shard_entry_points(project: ProjectContext) -> List[str]:
+    """Every shard entry point's node id (``module::qualname``), sorted.
+
+    A function is an entry when it carries ``@shard_entry(...)`` or,
+    under ``cluster``/``serve``, when its terminal name is ``run``,
+    ``pump``, ``dispatch`` or ``submit``.
+    """
+    entries: List[str] = []
+    for name in sorted(project.modules):
+        mod = project.modules[name]
+        for qual in sorted(mod.functions):
+            if (mod.functions[qual].shard_entry is not None
+                    or (mod.package in _SHARD_ENTRY_PACKAGES
+                        and qual.split(".")[-1] in _SHARD_ENTRY_TERMINALS)):
+                entries.append(f"{name}::{qual}")
+    return entries
 
 
 @register_project
@@ -258,8 +276,8 @@ class ShardSafetyRule(ProjectRule):
 
     def check(self) -> None:
         inference = infer_effects(self.project)
-        entries = sorted(shard_entry_points(self.project))
-        parents = reach_from(inference.graph, entries)
+        parents = reach_from(inference.graph,
+                             shard_entry_points(self.project))
         for node in sorted(parents):
             mod = self.project.module_of(node)
             if mod.package in _SHARD_EXEMPT_PACKAGES:

@@ -49,7 +49,6 @@ from repro.lint.registry import (
 # Importing the rule modules populates both registries.
 import repro.lint.rules  # noqa: F401  (side-effect import)
 import repro.lint.project_rules  # noqa: F401  (side-effect import)
-import repro.lint.shards as _shards  # registers CG019-CG022
 import repro.lint.effects as _effects  # registers CG015-CG018
 
 __all__ = ["LintResult", "lint_file", "lint_paths", "iter_python_files"]
@@ -70,9 +69,6 @@ class LintResult:
     #: The ``effects.json`` artifact text (sorted, deterministic) when
     #: the run was asked for it (``lint_paths(..., effects=True)``).
     effects: Optional[str] = None
-    #: The ``shardplan.json`` certificate text when the run was asked
-    #: for it (``lint_paths(..., shard_plan=True)``).
-    shard_plan: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -217,7 +213,6 @@ def lint_paths(
     ignore: Optional[Iterable[str]] = None,
     whole_program: bool = True,
     effects: bool = False,
-    shard_plan: bool = False,
 ) -> LintResult:
     """Lint files and directory trees, both phases.
 
@@ -239,10 +234,6 @@ def lint_paths(
         :attr:`LintResult.effects` (backs ``--effects-out``).  Implies
         nothing about rule selection — the inference runs even when
         CG015–CG018 are deselected.
-    shard_plan:
-        Additionally render the shard-interference certificate
-        (:func:`repro.lint.shards.render_shard_plan`) into
-        :attr:`LintResult.shard_plan` (backs ``--shard-plan-out``).
     """
     select = list(select) if select is not None else None
     ignore = list(ignore) if ignore is not None else None
@@ -258,7 +249,7 @@ def lint_paths(
             summaries[summary.module] = summary
         result.findings.extend(findings)
 
-    if (project_rules or effects or shard_plan) and summaries:
+    if (project_rules or effects) and summaries:
         project = ProjectContext(summaries)
         for rule_cls in project_rules:
             rule = rule_cls(project)
@@ -266,8 +257,6 @@ def lint_paths(
             result.findings.extend(rule.findings)
         if effects:
             result.effects = _effects.render_effects(project)
-        if shard_plan:
-            result.shard_plan = _shards.render_shard_plan(project)
 
     result.findings.sort()
     return result

@@ -35,8 +35,6 @@ from repro.lint.pragmas import Suppressions
 __all__ = [
     "CallSite",
     "TaintSite",
-    "EmitSite",
-    "SeedSite",
     "UnorderedLoop",
     "EventClass",
     "FunctionSummary",
@@ -148,46 +146,6 @@ class TaintSite:
 
 
 @dataclass(frozen=True)
-class EmitSite:
-    """One engine ``at``/``after``/``every`` call and its priority.
-
-    The priority is resolved as far as the AST allows:
-
-    * kwarg absent → ``priority=0`` (the documented default band),
-      ``explicit=False``;
-    * integer literal (incl. unary minus) → ``priority=<value>``;
-    * a bare/dotted name → ``ref=<terminal name>`` with ``priority``
-      ``None`` — the shard analyzer resolves it against module-level
-      integer constants;
-    * anything else → ``priority=None`` and ``ref=None`` with
-      ``explicit=True``: a dynamic priority the merge order cannot be
-      proven for (rule CG020).
-    """
-
-    line: int
-    col: int
-    desc: str
-    priority: Optional[int] = 0
-    ref: Optional[str] = None
-    explicit: bool = False
-
-
-@dataclass(frozen=True)
-class SeedSite:
-    """One ``derive_seed(seed, "<namespace>", ...)`` call site.
-
-    ``namespace`` is the first name argument when it is a string
-    literal, ``None`` when it is computed (dynamic namespaces cannot be
-    checked for cross-shard collisions, but they also cannot collide
-    *statically*, so CG021 skips them).
-    """
-
-    line: int
-    col: int
-    namespace: Optional[str]
-
-
-@dataclass(frozen=True)
 class UnorderedLoop:
     """One iteration over an unordered (or order-fragile) collection."""
 
@@ -228,21 +186,14 @@ class FunctionSummary:
     clock_reads: List[TaintSite] = field(default_factory=list)
     unordered_loops: List[UnorderedLoop] = field(default_factory=list)
     global_writes: List[TaintSite] = field(default_factory=list)
-    engine_emits: List[EmitSite] = field(default_factory=list)
+    engine_emits: List[TaintSite] = field(default_factory=list)
     digest_writes: List[TaintSite] = field(default_factory=list)
     io_sites: List[TaintSite] = field(default_factory=list)
-    #: ``derive_seed(...)`` call sites with their namespace literals.
-    seed_derivations: List[SeedSite] = field(default_factory=list)
-    #: ``as_rng(7)`` / ``default_rng(7)`` — RNG built from a literal
-    #: seed, bypassing ``derive_seed`` namespacing (rule CG021).
-    raw_seed_sites: List[TaintSite] = field(default_factory=list)
     #: ``None`` = undeclared; otherwise the sorted declared effect names.
     declared_effects: Optional[List[str]] = None
     hot_path: bool = False
     #: ``@shard_entry("<group>")`` decoration, statically read.
     shard_entry: Optional[str] = None
-    #: ``@shard_merge_point`` decoration, statically read.
-    shard_merge: bool = False
 
 
 @dataclass
@@ -262,10 +213,6 @@ class ModuleSummary:
     event_classes: List[EventClass] = field(default_factory=list)
     event_constructions: Set[str] = field(default_factory=set)
     defines_digest: bool = False
-    #: module-level ``NAME = <int>`` bindings — the shard analyzer
-    #: resolves named emit priorities (``priority=LIFECYCLE_PRIORITY``)
-    #: against these without importing the module.
-    int_constants: Dict[str, int] = field(default_factory=dict)
     suppressions: Suppressions = field(default_factory=Suppressions)
 
     @property
@@ -405,42 +352,6 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _const_int(node: ast.expr) -> Optional[int]:
-    """The integer value of a literal (incl. unary minus), else ``None``.
-
-    ``True``/``False`` are deliberately excluded: a ``priority=True``
-    emit or ``as_rng(False)`` is not a numeric band / seed literal.
-    """
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _const_int(node.operand)
-        return -inner if inner is not None else None
-    if (isinstance(node, ast.Constant)
-            and isinstance(node.value, int)
-            and not isinstance(node.value, bool)):
-        return node.value
-    return None
-
-
-def _module_int_constants(tree: ast.Module) -> Dict[str, int]:
-    """Module-level ``NAME = <int literal>`` bindings."""
-    out: Dict[str, int] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target: ast.expr = stmt.targets[0]
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target = stmt.target
-            value = stmt.value
-        else:
-            continue
-        if not isinstance(target, ast.Name):
-            continue
-        const = _const_int(value)
-        if const is not None:
-            out[target.id] = const
-    return out
-
-
 def _root_name(node: ast.expr) -> Optional[str]:
     """The base ``Name`` of an attribute/subscript chain, if any."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -522,39 +433,28 @@ class _Summarizer(ast.NodeVisitor):
         return True, declared, hot
 
     @staticmethod
-    def _shard_decoration(
-        node: ast.AST,
-    ) -> Tuple[Optional[str], bool]:
-        """Parse ``@shard_entry("g")`` / ``@shard_merge_point``.
+    def _shard_group(node: ast.AST) -> Optional[str]:
+        """The group of a ``@shard_entry("g")`` decorator, else ``None``.
 
-        Returns ``(group, is_merge)``; ``(None, False)`` when the
-        decorator is neither marker.  Matched by terminal name, like
-        ``@effects(...)`` — the analyzer never imports the module.
+        Matched by terminal name, like ``@effects(...)`` — the analyzer
+        never imports the module.
         """
-        if isinstance(node, ast.Call):
-            terminal = (_dotted(node.func) or "").split(".")[-1]
-            if terminal == "shard_entry":
-                group = next(
-                    (arg.value for arg in node.args
-                     if isinstance(arg, ast.Constant)
-                     and isinstance(arg.value, str)),
-                    None,
-                ) or next(
-                    (kw.value.value for kw in node.keywords
-                     if kw.arg == "group"
-                     and isinstance(kw.value, ast.Constant)
-                     and isinstance(kw.value.value, str)),
-                    None,
-                )
-                if group is not None:
-                    return group, False
-            if terminal == "shard_merge_point":
-                return None, True
-            return None, False
-        terminal = (_dotted(node) or "").split(".")[-1]
-        if terminal == "shard_merge_point":
-            return None, True
-        return None, False
+        if not (isinstance(node, ast.Call)
+                and (_dotted(node.func) or "").split(".")[-1]
+                == "shard_entry"):
+            return None
+        return next(
+            (arg.value for arg in node.args
+             if isinstance(arg, ast.Constant)
+             and isinstance(arg.value, str)),
+            None,
+        ) or next(
+            (kw.value.value for kw in node.keywords
+             if kw.arg == "group"
+             and isinstance(kw.value, ast.Constant)
+             and isinstance(kw.value.value, str)),
+            None,
+        )
 
     def _handle_function(self, node: ast.AST) -> None:
         name = node.name  # type: ignore[attr-defined]
@@ -563,16 +463,14 @@ class _Summarizer(ast.NodeVisitor):
         declared: Optional[List[str]] = None
         hot = False
         shard_group: Optional[str] = None
-        shard_merge = False
         for dec in node.decorator_list:  # type: ignore[attr-defined]
             is_effects, names, dec_hot = self._effects_decoration(dec)
             if is_effects:
                 declared, hot = names, hot or dec_hot
                 continue
-            group, is_merge = self._shard_decoration(dec)
-            if group is not None or is_merge:
-                shard_group = group if group is not None else shard_group
-                shard_merge = shard_merge or is_merge
+            group = self._shard_group(dec)
+            if group is not None:
+                shard_group = group
             else:
                 # Decorators execute at import time: attribute their
                 # calls (e.g. ``@register``) to the enclosing scope, not
@@ -582,7 +480,6 @@ class _Summarizer(ast.NodeVisitor):
         self._fn.declared_effects = declared
         self._fn.hot_path = hot
         self._fn.shard_entry = shard_group
-        self._fn.shard_merge = shard_merge
         self.visit(node.args)  # type: ignore[attr-defined]
         for stmt in node.body:  # type: ignore[attr-defined]
             self.visit(stmt)
@@ -790,23 +687,6 @@ class _Summarizer(ast.NodeVisitor):
         elif len(parts) == 1 and fn in imp.clock_fns:
             self._record_clock(node, f"{fn}() (wall clock)")
 
-    def _emit_priority(
-        self, node: ast.Call,
-    ) -> Tuple[Optional[int], Optional[str], bool]:
-        """``(priority, ref, explicit)`` of an engine-emit call."""
-        for kw in node.keywords:
-            if kw.arg != "priority":
-                continue
-            const = _const_int(kw.value)
-            if const is not None:
-                return const, None, True
-            ref = _dotted(kw.value)
-            if ref is not None and ref != "self" \
-                    and not ref.startswith("self."):
-                return None, ref.split(".")[-1], True
-            return None, None, True
-        return 0, None, False
-
     def _check_effect_seeds(self, node: ast.Call, dotted: str,
                             terminal: str) -> None:
         """Record the engine-emit / digest-write / io / mutation facts."""
@@ -814,27 +694,9 @@ class _Summarizer(ast.NodeVisitor):
                          desc=f"{dotted}()")
         is_method = isinstance(node.func, ast.Attribute)
         if is_method and terminal in _ENGINE_EMIT_METHODS:
-            priority, ref, explicit = self._emit_priority(node)
-            self._fn.engine_emits.append(EmitSite(
+            self._fn.engine_emits.append(TaintSite(
                 site.line, site.col, f"{dotted}() schedules an engine event",
-                priority=priority, ref=ref, explicit=explicit,
             ))
-        if terminal == "derive_seed":
-            namespace = None
-            if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
-                    and isinstance(node.args[1].value, str):
-                namespace = node.args[1].value
-            self._fn.seed_derivations.append(SeedSite(
-                line=site.line, col=site.col, namespace=namespace,
-            ))
-        if terminal in ("as_rng", "default_rng") and node.args:
-            literal = _const_int(node.args[0])
-            if literal is not None:
-                self._fn.raw_seed_sites.append(TaintSite(
-                    site.line, site.col,
-                    f"{dotted}({literal}) builds an RNG from a fixed "
-                    f"literal seed",
-                ))
         if is_method and terminal in _DIGEST_WRITE_METHODS:
             self._fn.digest_writes.append(TaintSite(
                 site.line, site.col,
@@ -908,7 +770,6 @@ def summarize_module(
     summary.imported_modules = set(imports.modules)
     summary.import_lines = dict(imports.module_lines)
     summary.type_only_imports = _type_only_imports(tree)
-    summary.int_constants = _module_int_constants(tree)
     _Summarizer(summary, imports, tree).visit(tree)
     return summary
 
@@ -972,7 +833,7 @@ class ProjectContext:
 
 
 class ProjectRule:
-    """Base class for whole-program rules (CG010–CG013, CG015–CG022).
+    """Base class for whole-program rules (CG010–CG013, CG015–CG018).
 
     Subclasses set :attr:`rule_id`/:attr:`name`/:attr:`description`,
     are registered with

@@ -34,14 +34,15 @@ __all__ = [
 ]
 
 #: Bumped whenever a rule's behaviour or the module-summary facts
-#: change; ``effects.json`` and ``shardplan.json`` stamp it, so an
-#: artifact derived by an older analyzer is told apart from a fresh one.
+#: change; ``effects.json`` stamps it, so an artifact derived by an
+#: older analyzer is told apart from a fresh one.
 #: v4: module summaries grew the effect-system facts (global/engine/
 #: digest/io seeds, stream draws, @effects declarations, import lines).
 #: v5: shard-certification facts (emit priorities, derive_seed
-#: namespaces, raw-seed sites, @shard_entry/@shard_merge_point
-#: decorations, module int constants).
-ANALYZER_VERSION = 5
+#: namespaces, raw-seed sites, shard decorations, module int constants).
+#: v6: those facts and the rules built on them are gone; only the
+#: @shard_entry decoration (CG015's entry points) is still read.
+ANALYZER_VERSION = 6
 
 
 class FileContext:

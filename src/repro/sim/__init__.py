@@ -9,15 +9,8 @@
   paper's authors).
 """
 
-from repro.sim.engine import (
-    Event,
-    ShardPlanError,
-    SimulationEngine,
-    run_partitioned,
-    validate_shard_plan,
-)
+from repro.sim.engine import Event, SimulationEngine, run_partitioned
 from repro.sim.telemetry import TelemetryRecorder
 
-__all__ = ["SimulationEngine", "Event", "ShardPlanError",
-           "validate_shard_plan", "run_partitioned",
+__all__ = ["SimulationEngine", "Event", "run_partitioned",
            "TelemetryRecorder"]

@@ -6,12 +6,6 @@ unique ``seq`` settles every tie, so the heap compares plain numbers and
 never an :class:`Event` — and callbacks may schedule further events.
 The engine is deliberately minimal — deterministic ordering and
 cancellation are the two features the schedulers rely on.
-
-:func:`validate_shard_plan` is the runtime half of the shard
-certification story: given the ``shardplan.json`` certificate the
-analyzer exported (``cocg lint --shard-plan-out``) and the entry-point
-callables a deployment actually registers, it proves the two agree
-before any partitioned run starts.
 """
 
 from __future__ import annotations
@@ -19,12 +13,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
-from repro.util.effects import shard_entry_group
-
-__all__ = ["Event", "SimulationEngine", "ShardPlanError",
-           "SHARD_PLAN_SCHEMA", "validate_shard_plan"]
+__all__ = ["Event", "SimulationEngine", "run_partitioned"]
 
 
 @dataclass
@@ -188,80 +179,6 @@ class SimulationEngine:
             pass
 
 
-# ---------------------------------------------------------------------------
-# Shard-plan validation (runtime half of the CG019-CG022 certification)
-
-
-class ShardPlanError(ValueError):
-    """The shard certificate and the registered entry points disagree."""
-
-
-#: Schema id the analyzer stamps into ``shardplan.json``.
-SHARD_PLAN_SCHEMA = "cocg-shardplan/1"
-
-
-def validate_shard_plan(
-    plan: Mapping[str, object],
-    entry_points: Iterable[Callable[..., object]],
-) -> None:
-    """Cross-check a ``shardplan.json`` certificate against runtime
-    entry points.
-
-    ``plan`` is the parsed certificate (``json.loads`` of the file the
-    analyzer wrote); ``entry_points`` are the callables a deployment
-    registers as shard entries.  Each one must carry a
-    ``@shard_entry("<group>")`` decoration, appear in the certificate's
-    ``entry_points`` table (matched on ``__qualname__``), and declare
-    the same group the certificate recorded — otherwise the static
-    proof was computed for a different program than the one about to
-    run.  All problems are collected and raised as one
-    :class:`ShardPlanError` (sorted, so the message is deterministic).
-    """
-    problems: list[str] = []
-    schema = plan.get("schema")
-    if schema != SHARD_PLAN_SCHEMA:
-        problems.append(
-            f"certificate schema is {schema!r}, expected "
-            f"{SHARD_PLAN_SCHEMA!r}"
-        )
-    raw_entries = plan.get("entry_points")
-    table: dict[str, str] = {}
-    if isinstance(raw_entries, Mapping):
-        for node, spec in raw_entries.items():
-            if isinstance(spec, Mapping) and isinstance(spec.get("group"),
-                                                        str):
-                # "module::Class.method" -> "Class.method"
-                table[str(node).split("::", 1)[-1]] = spec["group"]
-    else:
-        problems.append("certificate has no entry_points table")
-    for fn in entry_points:
-        qualname = getattr(fn, "__qualname__", repr(fn))
-        group = shard_entry_group(fn)
-        if group is None:
-            problems.append(
-                f"{qualname} is registered as an entry point but is not "
-                f"decorated with @shard_entry(...)"
-            )
-            continue
-        certified = table.get(qualname)
-        if certified is None:
-            problems.append(
-                f"{qualname} is not in the certificate's entry_points "
-                f"(stale shardplan.json? re-run `cocg lint "
-                f"--shard-plan-out`)"
-            )
-        elif certified != group:
-            problems.append(
-                f"{qualname} declares shard group {group!r} but the "
-                f"certificate recorded {certified!r}"
-            )
-    if problems:
-        raise ShardPlanError(
-            "shard plan validation failed:\n  "
-            + "\n  ".join(sorted(problems))
-        )
-
-
 def run_partitioned(
     streams: Mapping[str, Callable[[], object]],
 ) -> "dict[str, object]":
@@ -273,8 +190,10 @@ def run_partitioned(
     but nothing a thunk does may depend on that: each partition owns its
     own :class:`SimulationEngine`, RNG namespace, and telemetry, so the
     result of the whole call is a pure function of the set of thunks,
-    not of execution order.  The merged-digest tests in
-    ``tests/test_fleet.py`` hold this seam to that contract.
+    not of execution order.  ``tests/test_fleet.py::TestShardIsolation``
+    holds this seam to that contract by running the regional shards in
+    reverse order and each one alone in a fresh interpreter, and
+    requiring every region's digest to come back unchanged.
 
     Returns the results keyed by partition name.  Raises ``ValueError``
     on an empty mapping or a non-identifier-unfriendly name containing
@@ -291,5 +210,3 @@ def run_partitioned(
             )
     return {name: streams[name]() for name in names}
 
-
-__all__.append("run_partitioned")

@@ -29,20 +29,12 @@ Usage::
     @effects("rng", hot_path=True)   # pure-but-RNG *and* on the hot path
     def rollout(...): ...            # (CG018 enforces the purity)
 
-The shard-certification half (rules CG019–CG022 and the
-``shardplan.json`` certificate) uses two more zero-cost markers from
-this module:
-
-* :func:`shard_entry` names a function as the top of one partitioned
-  event stream (``@shard_entry("fleet")``) — the static analyzer walks
-  forward from every entry to classify reachable code as shard-local /
-  shard-shared-read / shard-interfering;
-* :func:`shard_merge_point` marks the one place where cross-shard
-  results are allowed to join (digest aggregation), which is what rule
-  CG022 checks cross-partition telemetry writes against.
-
-Both follow the exact ``@effects`` pattern: one attribute at import
-time, function returned unchanged, read statically by the analyzer.
+One more zero-cost marker follows the same pattern: :func:`shard_entry`
+names a function as the top of one partitioned event stream
+(``@shard_entry("region:shard")``).  Rule CG015 walks forward from every
+entry and fails the build when reachable code writes module- or
+class-level state; whether shards really share nothing at run time is
+checked by running them apart (``tests/test_fleet.py``).
 """
 
 from __future__ import annotations
@@ -50,8 +42,7 @@ from __future__ import annotations
 from typing import Callable, FrozenSet, Optional, TypeVar
 
 __all__ = ["EFFECTS", "EffectError", "effects", "declared_effects",
-           "is_hot_path", "shard_entry", "shard_entry_group",
-           "shard_merge_point", "is_shard_merge_point"]
+           "is_hot_path", "shard_entry", "shard_entry_group"]
 
 #: The effect alphabet, in canonical (report) order.  A signature is a
 #: subset of this; the lattice is subset inclusion with union as join.
@@ -70,7 +61,6 @@ _EFFECT_SET = frozenset(EFFECTS)
 ATTR_EFFECTS = "__cocg_effects__"
 ATTR_HOT_PATH = "__cocg_hot_path__"
 ATTR_SHARD_ENTRY = "__cocg_shard_entry__"
-ATTR_SHARD_MERGE = "__cocg_shard_merge__"
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -128,21 +118,13 @@ def shard_entry(group: str) -> Callable[[_F], _F]:
 
     A shard entry point is the top of one partitioned event stream —
     ``FleetExperiment.run``, the gateway ``pump``, cluster
-    ``dispatch``/``submit``.  The shard-interference analyzer
-    (:mod:`repro.lint.shards`) reads the decoration statically, walks
-    forward from every entry, and classifies each reachable function as
-    shard-local, shard-shared-read, or shard-interfering in the
-    ``shardplan.json`` certificate.  Entries in the same ``group``
-    execute on the same partition; rules CG019/CG021/CG022 only fire on
-    state reachable from *distinct* partitions.
+    ``dispatch``/``submit``.  The analyzer reads the decoration
+    statically and rule CG015 walks forward from every entry, flagging
+    reachable writes to module- or class-level state.
 
     Groups come in two spellings: a bare name (``"fleet"``) or a
-    ``family:member`` pair (``"region:controller"``).  The part before
-    the colon is the group's *partition family*: entries whose groups
-    share a family execute on (replicas of) the same partition
-    template, so the analyzer treats code they share as shard-local —
-    one regional heap never races its own clone.  Distinct families
-    are genuinely distinct partitions.
+    ``family:member`` pair (``"region:controller"``), where the part
+    before the colon names the partition template the entry runs on.
 
     Like :func:`effects`, the decorator stores one attribute at import
     time and returns the function unchanged — nothing on the call path.
@@ -168,19 +150,3 @@ def shard_entry_group(fn: Callable) -> Optional[str]:
     """The declared shard group, or ``None`` when ``fn`` is not an entry."""
     return getattr(fn, ATTR_SHARD_ENTRY, None)
 
-
-def shard_merge_point(fn: _F) -> _F:
-    """Mark ``fn`` as the declared merge point for cross-shard results.
-
-    Rule CG022 requires every telemetry/digest sink fed from more than
-    one partition to sit behind a merge-marked function: the one place
-    where per-shard streams are allowed to join in a defined order.
-    Zero runtime cost — one attribute, function returned unchanged.
-    """
-    setattr(fn, ATTR_SHARD_MERGE, True)
-    return fn
-
-
-def is_shard_merge_point(fn: Callable) -> bool:
-    """Whether ``fn`` was marked with :func:`shard_merge_point`."""
-    return bool(getattr(fn, ATTR_SHARD_MERGE, False))

@@ -118,7 +118,7 @@ def region_seed(seed: Seed, name: str) -> int:
     name)``, so two regions of the same fleet never draw correlated
     samples and a region is replayable from ``(base seed, name)``
     alone.  Centralised here so the ``"region"`` namespace has exactly
-    one owner (rule CG021 flags namespaces shared across modules).
+    one owner.
     """
     return derive_seed(seed, "region", name)
 

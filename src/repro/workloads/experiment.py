@@ -16,6 +16,7 @@ same telemetry noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -221,11 +222,18 @@ class ColocationExperiment:
         self._offer_rotation = getattr(self, "_offer_rotation", 0) + 1
         k = self._offer_rotation % max(len(pending), 1)
         for request in self.strategy.order_requests(pending[k:] + pending[:k]):
+            # The seed counter advances on every offer, rejected ones
+            # included, so building only admitted sessions keeps seeds.
             self._session_seeds += 1
-            session = request.make_session(
-                derive_seed(self._base_seed, "session", str(self._session_seeds))
+            seed = derive_seed(self._base_seed, "session", str(self._session_seeds))
+            game = request.spec.name
+            session = self.strategy.try_admit_lazy(
+                f"{game}-r{request.request_id}",
+                game,
+                partial(request.make_session, seed),
+                time=time,
             )
-            if self.strategy.try_admit(session, time=time):
+            if session is not None:
                 self._sessions[session.session_id] = session
                 self.backlog.started(request)
 

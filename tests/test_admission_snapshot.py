@@ -23,6 +23,7 @@ from repro.games.session import GameSession
 from repro.platform_.allocator import AllocationError, Allocator
 from repro.platform_.server import GPUDevice, Server
 from repro.sim.telemetry import TelemetryRecorder
+from repro.workloads.experiment import ColocationExperiment
 
 PLACEMENT_FAILED = "placement failed under the cap"
 
@@ -289,3 +290,50 @@ class TestRolloutMemo:
         )
         assert ctl.predicted_peaks(3) is peaks
         assert ctl.predictor.rollout_count == before
+
+
+class BuildThenAdmit(CoCGStrategy):
+    """CoCG with every offered session built before its verdict, the
+    order the single-server experiment used before it admitted first."""
+
+    def try_admit_lazy(self, session_id, game, build, *, time):
+        session = build()
+        return super().try_admit_lazy(
+            session_id, game, lambda: session, time=time
+        )
+
+
+class TestSingleServerExperiment:
+    """The paper-bench driver builds a session only once CoCG admits it."""
+
+    def test_builds_only_admitted_sessions(
+        self, monkeypatch, contra_profile, toy_profile
+    ):
+        profiles = {"contra": contra_profile, "toygame": toy_profile}
+        builds = []
+        init = GameSession.__init__
+
+        def counting_init(session, *args, **kwargs):
+            builds.append(kwargs.get("session_id"))
+            init(session, *args, **kwargs)
+
+        monkeypatch.setattr(GameSession, "__init__", counting_init)
+
+        def run(strategy):
+            builds.clear()
+            result = ColocationExperiment(
+                profiles, strategy, horizon=900, seed=11, max_concurrent=3
+            ).run()
+            return result, len(builds), list(strategy.scheduler.decision_log)
+
+        lazy, lazy_builds, lazy_log = run(CoCGStrategy())
+        eager, eager_builds, eager_log = run(BuildThenAdmit())
+        assert lazy.rejections > 0
+        assert lazy_builds == lazy.admissions
+        assert eager_builds == eager.admissions + eager.rejections
+        assert (lazy.admissions, lazy.rejections) == (
+            eager.admissions, eager.rejections
+        )
+        assert lazy_log == eager_log
+        assert lazy.completed_runs == eager.completed_runs
+        assert lazy.telemetry.digest() == eager.telemetry.digest()

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.fleet` — ring, router, controller, certification.
+"""Tests for :mod:`repro.fleet` — ring, router, controller, shard isolation.
 
 The load-bearing properties:
 
@@ -7,18 +7,24 @@ The load-bearing properties:
 * an N=1 fleet-of-fleets reduces byte-for-byte to the classic single
   :class:`~repro.cluster.experiment.FleetExperiment` digest;
 * same-seed N=4 double runs are byte-identical, and a fault plan scoped
-  to one region leaves every other region's digest untouched (shard
-  isolation);
-* startup certification refuses a stale ``shardplan.json`` with exit 2.
+  to one region leaves every other region's digest untouched;
+* shards share no state: every region's digest is the same when the
+  shards run in sorted order, in reverse order, and each alone in a
+  fresh interpreter.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
-from dataclasses import replace
+import repro
 
 from repro.cluster.experiment import FleetExperiment, default_arrivals
 from repro.fleet import (
@@ -26,12 +32,9 @@ from repro.fleet import (
     HashRing,
     RegionSpec,
     SessionRouter,
-    certify_runtime,
-    load_certificate,
     region_node_id,
     region_outage_plan,
     ring_point,
-    runtime_entry_points,
 )
 from repro.fleet import controller
 from repro.fleet.controller import ID_STRIDE
@@ -41,7 +44,7 @@ from repro.platform_.profile import (
     WEAK_GPU_PLATFORM,
 )
 from repro.serve.loadgen import ClosedLoopLoadGen, OpenLoopLoadGen
-from repro.sim import ShardPlanError, run_partitioned
+from repro.sim import run_partitioned
 from repro.trace.harness import (
     RunConfig,
     build_cluster,
@@ -408,6 +411,18 @@ class TestFleetOfFleets:
             report = replay_document(document)
             assert report.matched
 
+    def test_cli_fleet_regions_smoke(self, capsys):
+        from repro.cli import main
+
+        rc = main([
+            "fleet", "contra", "--horizon", "120", "--rate", "6",
+            "--players", "2", "--sessions", "2", "--regions", "2",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "merged digest:" in out
+        assert "fleet-of-fleets: 2 regions" in out
+
 
 # ---------------------------------------------------------------------------
 # Region outage plans
@@ -428,48 +443,76 @@ class TestRegionOutagePlan:
 
 
 # ---------------------------------------------------------------------------
-# Startup certification
+# Shard independence, checked by running shards apart
 # ---------------------------------------------------------------------------
 
-class TestCertification:
-    def test_packaged_certificate_matches_runtime(self):
-        plan = certify_runtime()
-        assert plan["counts"]["entry_points"] == len(runtime_entry_points())
+#: Two games, so every region hosts mixed sessions.
+ISOLATION = replace(BASE, games=("contra", "dota2"), horizon=300,
+                    rate_per_minute=8.0, seed=11)
 
-    def test_stale_certificate_raises(self, tmp_path):
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps(
-            {"schema": "cocg-shardplan/1", "entry_points": {}}
-        ))
-        with pytest.raises(ShardPlanError, match="not in the certificate"):
-            certify_runtime(stale)
+#: Rebuilds a fleet from its config and region specs in a fresh
+#: interpreter, runs one region alone, and prints that region's digest.
+RUN_ONE_REGION = """
+import json, sys
+from repro.fleet import FleetOfFleets, RegionSpec
+from repro.trace.harness import RunConfig
+job = json.loads(sys.argv[1])
+fleet = FleetOfFleets(RunConfig.from_dict(job["config"]),
+                      [RegionSpec(**spec) for spec in job["regions"]])
+print(fleet.build_shards()[job["region"]].run().digest)
+"""
 
-    def test_missing_certificate_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            load_certificate(tmp_path / "nope.json")
 
-    def test_cli_exit_2_on_stale_certificate(self, tmp_path, capsys):
-        from repro.cli import main
+class TestShardIsolation:
+    """Each region's digest depends on that region's inputs alone.
 
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps(
-            {"schema": "cocg-shardplan/1", "entry_points": {}}
-        ))
-        rc = main([
-            "fleet", "contra", "--horizon", "60",
-            "--shard-plan", str(stale),
-        ])
-        assert rc == 2
-        assert "certification failed" in capsys.readouterr().err
+    Shards that share mutable state (a module-level counter, a cache
+    filled in call order, a class attribute) give different digests
+    once they run in another order or apart, so the region digests of
+    ``FleetOfFleets.run`` must come back unchanged both ways.
+    """
 
-    def test_cli_fleet_regions_smoke(self, capsys):
-        from repro.cli import main
+    @pytest.fixture(scope="class")
+    def in_order(self):
+        """N -> the fleet run through ``run_partitioned`` (sorted order)."""
+        return {
+            n: FleetOfFleets(ISOLATION, _regions(n)).run()
+            for n in (1, 2, 4, 8)
+        }
 
-        rc = main([
-            "fleet", "contra", "--horizon", "120", "--rate", "6",
-            "--players", "2", "--sessions", "2", "--regions", "2",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "merged digest:" in out
-        assert "fleet-of-fleets: 2 regions" in out
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_reverse_order_keeps_every_region_digest(self, in_order, n):
+        fleet = FleetOfFleets(ISOLATION, _regions(n))
+        shards = fleet.build_shards()
+        reverse = fleet.merge({
+            name: shards[name].run()
+            for name in sorted(shards, reverse=True)
+        })
+        assert reverse.region_digests == in_order[n].region_digests
+        assert reverse.merged_digest == in_order[n].merged_digest
+
+    def test_each_region_alone_in_a_fresh_interpreter(self, in_order):
+        specs = _regions(4)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        procs = {
+            spec.name: subprocess.Popen(
+                [sys.executable, "-c", RUN_ONE_REGION, json.dumps({
+                    "config": ISOLATION.to_dict(),
+                    "regions": [asdict(s) for s in specs],
+                    "region": spec.name,
+                })],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env,
+            )
+            for spec in specs
+        }
+        alone = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, f"region {name} failed:\n{err}"
+            alone[name] = out.strip()
+        assert alone == in_order[4].region_digests

@@ -333,7 +333,6 @@ class TestProjectRegistry:
         assert sorted(all_project_rules()) == [
             "CG010", "CG011", "CG012", "CG013",
             "CG015", "CG016", "CG017", "CG018",
-            "CG019", "CG020", "CG021", "CG022",
         ]
 
     def test_select_spans_both_registries(self):
